@@ -199,14 +199,14 @@ std::uint64_t flow_fingerprint(const lock::FlowJob& job);
 /// Determinism: a job's randomness comes exclusively from its seed. The
 /// two-argument `submit` takes the seed verbatim; the one-argument overload
 /// uses `Rng::stream_seed(base_seed, 0)` and `submit_all` gives the i-th job
-/// `Rng::stream_seed(base_seed, i)` — the same derivation `run_flow_batch`
-/// has always used, so a batch through the service is bit-identical to the
-/// legacy API at any thread count. Because outputs are a pure function of
-/// (circuit, seed, fingerprint), serving a repeated triple from the cache is
-/// indistinguishable from re-running it — with one caveat: circuit *names*
-/// are reporting metadata excluded from `content_hash()`, so a cached
-/// FlowResult's embedded circuits carry the names of the job that first
-/// computed it (JobOutcome::name is always the submitting job's own name).
+/// `Rng::stream_seed(base_seed, i)`, so job i's result equals a direct
+/// `lock::run_flow` on that generator at any thread count. Because outputs
+/// are a pure function of (circuit, seed, fingerprint), serving a repeated
+/// triple from the cache is indistinguishable from re-running it — with one
+/// caveat: circuit *names* are reporting metadata excluded from
+/// `content_hash()`, so a cached FlowResult's embedded circuits carry the
+/// names of the job that first computed it (JobOutcome::name is always the
+/// submitting job's own name).
 ///
 /// Thread safety: all public methods may be called concurrently. Exceptions
 /// from the pipeline never escape — they surface as JobOutcome::status.

@@ -71,14 +71,7 @@ double Backend::fidelity_with(const Backend& other) const {
 std::map<std::string, std::size_t> Backend::sample(
     std::size_t shots, const std::vector<int>& measured, Rng& rng) {
   prepare();
-  std::vector<int> m = measured;
-  if (m.empty()) {
-    for (int q = 0; q < num_qubits(); ++q) m.push_back(q);
-  }
-  for (int q : m) {
-    TETRIS_REQUIRE(q >= 0 && q < num_qubits(),
-                   "Backend::sample: measured qubit out of range");
-  }
+  const std::vector<int> m = resolve_measured(num_qubits(), measured);
   // One u64 unconditionally — the same per-shot stream-family contract as
   // sim::sample, so a backend swap never shifts the caller's generator.
   const std::uint64_t base = rng.next_u64();
@@ -88,6 +81,17 @@ std::map<std::string, std::size_t> Backend::sample(
     ++histogram[project_index(sample_index(shot_rng), m)];
   }
   return histogram;
+}
+
+std::vector<int> resolve_measured(int num_qubits,
+                                  const std::vector<int>& measured) {
+  for (int q : measured) {
+    TETRIS_REQUIRE(q >= 0 && q < num_qubits, "measured qubit out of range");
+  }
+  if (!measured.empty()) return measured;
+  std::vector<int> all(static_cast<std::size_t>(num_qubits));
+  for (std::size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int>(i);
+  return all;
 }
 
 std::string project_index(std::size_t index,

@@ -152,9 +152,15 @@ class Backend {
   }
 };
 
+/// The qubits a measurement reads on a `num_qubits`-wide register: all of
+/// them in register order when `measured` is empty, else `measured` itself.
+/// Throws InvalidArgument when a listed qubit is out of range.
+std::vector<int> resolve_measured(int num_qubits,
+                                  const std::vector<int>& measured);
+
 /// Renders basis index `index` restricted to the `measured` qubits as a
 /// bitstring in the sim::Counts convention (measured.back() leftmost).
-/// `measured` must be non-empty and validated by the caller.
+/// `measured` must already be resolved (see resolve_measured).
 std::string project_index(std::size_t index, const std::vector<int>& measured);
 
 /// Registry row of a concrete engine (everything GET /v1/status reports).

@@ -385,14 +385,7 @@ std::map<std::string, double> StabilizerBackend::distribution(
   TETRIS_REQUIRE(s.k <= kMaxEnumerationQubits,
                  "StabilizerBackend::distribution: support too large to "
                  "enumerate (2^" + std::to_string(s.k) + " elements)");
-  std::vector<int> m = measured;
-  if (m.empty()) {
-    for (int q = 0; q < num_qubits_; ++q) m.push_back(q);
-  }
-  for (int q : m) {
-    TETRIS_REQUIRE(q >= 0 && q < num_qubits_,
-                   "StabilizerBackend::distribution: qubit out of range");
-  }
+  const std::vector<int> m = resolve_measured(num_qubits_, measured);
   std::map<std::string, double> out;
   const double p = std::ldexp(1.0, -s.k);
   const std::uint64_t count = std::uint64_t{1} << s.k;

@@ -10,14 +10,7 @@ double StateVectorBackend::probability(std::size_t index) const {
 
 std::map<std::string, double> StateVectorBackend::distribution(
     const std::vector<int>& measured) const {
-  std::vector<int> m = measured;
-  if (m.empty()) {
-    for (int q = 0; q < sv_.num_qubits(); ++q) m.push_back(q);
-  }
-  for (int q : m) {
-    TETRIS_REQUIRE(q >= 0 && q < sv_.num_qubits(),
-                   "StateVectorBackend::distribution: qubit out of range");
-  }
+  const std::vector<int> m = resolve_measured(sv_.num_qubits(), measured);
   std::map<std::string, double> out;
   const auto& amps = sv_.amplitudes();
   for (std::size_t i = 0; i < amps.size(); ++i) {

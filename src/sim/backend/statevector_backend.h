@@ -6,11 +6,12 @@
 namespace tetris::sim {
 
 /// The dense amplitude engine behind the Backend interface — a thin adapter
-/// over sim::StateVector, which stays a concrete class (the sampler's
-/// statevector fast path, the fusion engine, and the tests drive it
-/// directly; this wrapper adds the virtual dispatch only where a generic
-/// engine is wanted). Executes every gate kind of the IR; width-capped at
-/// 28 qubits by the underlying register.
+/// that forwards every call verbatim to sim::StateVector. The register
+/// stays a concrete class because the fusion engine and the tests drive it
+/// directly; `state()` exposes it, which is how sim::sample runs the fused
+/// ideal run and the fused-prefix replay of errored shots. Executes every
+/// gate kind of the IR; width-capped at 28 qubits by the underlying
+/// register.
 class StateVectorBackend final : public Backend {
  public:
   static BackendCaps caps() {

@@ -79,14 +79,7 @@ std::size_t DenseUnitaryBackend::sample_index(Rng& rng) const {
 
 std::map<std::string, double> DenseUnitaryBackend::distribution(
     const std::vector<int>& measured) const {
-  std::vector<int> m = measured;
-  if (m.empty()) {
-    for (int q = 0; q < num_qubits_; ++q) m.push_back(q);
-  }
-  for (int q : m) {
-    TETRIS_REQUIRE(q >= 0 && q < num_qubits_,
-                   "DenseUnitaryBackend::distribution: qubit out of range");
-  }
+  const std::vector<int> m = resolve_measured(num_qubits_, measured);
   std::map<std::string, double> out;
   const std::vector<std::complex<double>> state = column0();
   for (std::size_t i = 0; i < state.size(); ++i) {

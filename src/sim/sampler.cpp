@@ -1,15 +1,14 @@
 #include "sim/sampler.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
-
 #include <memory>
 
 #include "common/error.h"
 #include "runtime/shard.h"
 #include "runtime/thread_pool.h"
 #include "sim/backend/backend.h"
+#include "sim/backend/statevector_backend.h"
 #include "sim/fusion.h"
 #include "sim/statevector.h"
 
@@ -19,19 +18,17 @@ namespace {
 
 const char kPaulis[] = {'I', 'X', 'Y', 'Z'};
 
-/// Applies a uniformly random non-identity Pauli string to `qubits`.
-/// Templated over the register type (StateVector or sim::Backend): the draw
-/// and the per-qubit application order are part of the per-shot determinism
-/// contract, so every engine must share this exact code path.
-template <typename Register>
-void inject_depolarizing(Register& sv, const std::vector<int>& qubits,
+/// Applies a uniformly random non-identity Pauli string to `qubits`. The
+/// draw and the per-qubit application order are part of the per-shot
+/// determinism contract.
+void inject_depolarizing(Backend& reg, const std::vector<int>& qubits,
                          Rng& rng) {
   std::size_t num_strings = 1;
   for (std::size_t i = 0; i < qubits.size(); ++i) num_strings *= 4;
   // Draw from [1, 4^k - 1]: skip the all-identity string.
   std::size_t code = 1 + rng.index(num_strings - 1);
   for (int q : qubits) {
-    sv.apply_pauli(kPaulis[code & 3], q);
+    reg.apply_pauli(kPaulis[code & 3], q);
     code >>= 2;
   }
 }
@@ -42,31 +39,6 @@ double gate_error_prob(const qir::Gate& g, const NoiseModel& noise) {
   return g.num_qubits() >= 2 ? noise.p2 : noise.p1;
 }
 
-/// Extracts the measured-bit outcome string for a raw basis index.
-std::string project_outcome(std::size_t index, const std::vector<int>& measured) {
-  std::string out(measured.size(), '0');
-  // Qiskit convention: measured.back() (highest position) is leftmost.
-  for (std::size_t i = 0; i < measured.size(); ++i) {
-    bool bit = (index >> measured[i]) & 1;
-    out[measured.size() - 1 - i] = bit ? '1' : '0';
-  }
-  return out;
-}
-
-std::vector<int> resolve_measured(const qir::Circuit& circuit,
-                                  const std::vector<int>& measured) {
-  if (!measured.empty()) {
-    for (int q : measured) {
-      TETRIS_REQUIRE(q >= 0 && q < circuit.num_qubits(),
-                     "measured qubit out of range");
-    }
-    return measured;
-  }
-  std::vector<int> all(static_cast<std::size_t>(circuit.num_qubits()));
-  for (std::size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int>(i);
-  return all;
-}
-
 /// Applies per-bit readout flips to a raw basis index.
 std::size_t apply_readout(std::size_t index, const std::vector<int>& measured,
                           double readout, Rng& rng) {
@@ -75,153 +47,6 @@ std::size_t apply_readout(std::size_t index, const std::vector<int>& measured,
     if (rng.bernoulli(readout)) index ^= (std::size_t{1} << q);
   }
   return index;
-}
-
-/// Read-only context shared by every shard worker of one sample() call.
-/// All pointers reference data owned by sample()'s frame, which outlives
-/// every access (see the straggler-safety note in run_sharded).
-struct SampleContext {
-  const qir::Circuit* circuit = nullptr;
-  const StateVector* ideal = nullptr;  ///< noise-free full run, shared read-only
-  const FusionPlan* plan = nullptr;  ///< errored shots replay its prefix (fuse)
-  const std::vector<int>* measured = nullptr;
-  const NoiseModel* noise = nullptr;
-  const std::vector<double>* error_probs = nullptr;  ///< per gate index
-  bool any_gate_noise = false;
-  std::uint64_t base_seed = 0;  ///< base of the per-shot stream family
-};
-
-/// Runs shots [begin, end) of the deterministic shot grid into `out`.
-///
-/// Shot `i` draws exclusively from `Rng::for_stream(base_seed, i)`, so the
-/// outcomes of a range depend only on its indices — never on which thread or
-/// chunk executes it.
-void run_shot_range(const SampleContext& ctx, std::size_t begin,
-                    std::size_t end, Counts& out) {
-  const auto& gates = ctx.circuit->gates();
-  // The trajectory register is only needed when a gate error can fire; a
-  // 0-qubit placeholder keeps the error-free path allocation-free.
-  StateVector traj(ctx.any_gate_noise ? ctx.circuit->num_qubits() : 0);
-  std::vector<std::size_t> error_sites;
-  for (std::size_t shot = begin; shot < end; ++shot) {
-    Rng rng = Rng::for_stream(ctx.base_seed, shot);
-    std::size_t raw;
-    error_sites.clear();
-    if (ctx.any_gate_noise) {
-      for (std::size_t i = 0; i < gates.size(); ++i) {
-        if ((*ctx.error_probs)[i] > 0.0 &&
-            rng.bernoulli((*ctx.error_probs)[i])) {
-          error_sites.push_back(i);
-        }
-      }
-    }
-    if (error_sites.empty()) {
-      raw = ctx.ideal->sample(rng);
-    } else {
-      traj.reset();
-      std::size_t i = 0;
-      std::size_t next_err = 0;
-      if (ctx.plan != nullptr) {
-        // Replay the fused plan up to the first injection site: every op
-        // fully before the site fuses safely, and the injection draws below
-        // happen in site order exactly as in the unfused replay, so the
-        // shot's randomness stream is untouched.
-        i = apply_fused_prefix(traj, *ctx.plan, error_sites[0] + 1);
-        while (next_err < error_sites.size() && error_sites[next_err] < i) {
-          inject_depolarizing(traj, gates[error_sites[next_err]].qubits, rng);
-          ++next_err;
-        }
-      }
-      for (; i < gates.size(); ++i) {
-        traj.apply_gate(gates[i]);
-        if (next_err < error_sites.size() && error_sites[next_err] == i) {
-          inject_depolarizing(traj, gates[i].qubits, rng);
-          ++next_err;
-        }
-      }
-      raw = traj.sample(rng);
-    }
-    raw = apply_readout(raw, *ctx.measured, ctx.noise->readout, rng);
-    ++out.histogram[project_outcome(raw, *ctx.measured)];
-  }
-}
-
-/// Runs shots [begin, end) on a generic sim::Backend engine, consuming the
-/// exact randomness sequence of run_shot_range — same error-site Bernoullis,
-/// same injection draws, one uniform for the outcome, then readout flips —
-/// so a backend swap reproduces the statevector's shots wherever the
-/// engine's arithmetic agrees with it (exactly so on the Clifford grid).
-struct BackendSampleContext {
-  const qir::Circuit* circuit = nullptr;
-  const Backend* ideal = nullptr;  ///< prepared noise-free run, shared read-only
-  BackendKind kind = BackendKind::kStateVector;  ///< for trajectory registers
-  const std::vector<int>* measured = nullptr;
-  const NoiseModel* noise = nullptr;
-  const std::vector<double>* error_probs = nullptr;  ///< per gate index
-  bool any_gate_noise = false;
-  std::uint64_t base_seed = 0;  ///< base of the per-shot stream family
-};
-
-void run_backend_shot_range(const BackendSampleContext& ctx, std::size_t begin,
-                            std::size_t end, Counts& out) {
-  const auto& gates = ctx.circuit->gates();
-  std::unique_ptr<Backend> traj;
-  if (ctx.any_gate_noise) {
-    traj = make_backend(ctx.kind, ctx.circuit->num_qubits());
-  }
-  std::vector<std::size_t> error_sites;
-  for (std::size_t shot = begin; shot < end; ++shot) {
-    Rng rng = Rng::for_stream(ctx.base_seed, shot);
-    std::size_t raw;
-    error_sites.clear();
-    if (ctx.any_gate_noise) {
-      for (std::size_t i = 0; i < gates.size(); ++i) {
-        if ((*ctx.error_probs)[i] > 0.0 &&
-            rng.bernoulli((*ctx.error_probs)[i])) {
-          error_sites.push_back(i);
-        }
-      }
-    }
-    if (error_sites.empty()) {
-      raw = ctx.ideal->sample_index(rng);
-    } else {
-      traj->reset();
-      std::size_t next_err = 0;
-      for (std::size_t i = 0; i < gates.size(); ++i) {
-        traj->apply_gate(gates[i]);
-        if (next_err < error_sites.size() && error_sites[next_err] == i) {
-          inject_depolarizing(*traj, gates[i].qubits, rng);
-          ++next_err;
-        }
-      }
-      raw = traj->sample_index(rng);
-    }
-    raw = apply_readout(raw, *ctx.measured, ctx.noise->readout, rng);
-    ++out.histogram[project_outcome(raw, *ctx.measured)];
-  }
-}
-
-/// Shards `shots` over `pool` with `width` participants via
-/// `runtime::run_chunked` (caller-participates cursor: safe from inside a
-/// pool worker, degrades to serial on a saturated pool) and merges the
-/// per-chunk histograms in index order into `total`. Chunk c writes only to
-/// partial[c] and draws only from shot-indexed RNG streams, so the merged
-/// histogram is independent of width, pool, and claim order. `range` is one
-/// of the run_*_shot_range functions bound to its context.
-template <typename RangeFn>
-void run_sharded(const RangeFn& range, std::size_t shots, std::size_t chunk,
-                 std::size_t num_chunks, unsigned width,
-                 runtime::ThreadPool& pool, Counts& total) {
-  std::vector<Counts> partial(num_chunks);
-  runtime::run_chunked(pool, num_chunks, width, [&](std::size_t c) {
-    const std::size_t begin = c * chunk;
-    range(begin, std::min(shots, begin + chunk), partial[c]);
-  });
-  for (Counts& p : partial) {
-    for (const auto& [key, value] : p.histogram) {
-      total.histogram[key] += value;
-    }
-  }
 }
 
 }  // namespace
@@ -259,7 +84,8 @@ std::string bitstring(std::size_t index, int num_bits) {
 
 Counts sample(const qir::Circuit& circuit, const NoiseModel& noise, Rng& rng,
               const SampleOptions& options) {
-  std::vector<int> measured = resolve_measured(circuit, options.measured);
+  const std::vector<int> measured =
+      resolve_measured(circuit.num_qubits(), options.measured);
   Counts counts;
   counts.shots = options.shots;
   // Exactly one draw, unconditionally: the base of the per-shot stream
@@ -275,6 +101,89 @@ Counts sample(const qir::Circuit& circuit, const NoiseModel& noise, Rng& rng,
     error_probs[i] = gate_error_prob(gates[i], noise);
     any_gate_noise = any_gate_noise || error_probs[i] > 0.0;
   }
+
+  // One ideal run serves every error-free shot, shared read-only by all
+  // shard workers. On the statevector engine with options.fuse it goes
+  // through the fused kernels, and the plan is kept for the errored
+  // trajectories below: each replays the fused prefix up to its first
+  // injection site (apply_fused_prefix) and only simulates the tail gate by
+  // gate. Only this engine ever builds a plan; the others ignore `fuse`.
+  const BackendKind kind = resolve_backend(options.backend, circuit);
+  std::unique_ptr<Backend> ideal;
+  FusionPlan plan;
+  const FusionPlan* fused = nullptr;
+  if (kind == BackendKind::kStateVector && options.fuse) {
+    auto sv = std::make_unique<StateVectorBackend>(circuit.num_qubits());
+    plan = FusionPlan::build(circuit);
+    sv->state().apply_fused(plan);
+    fused = &plan;
+    ideal = std::move(sv);
+  } else {
+    ideal = make_backend(kind, circuit.num_qubits());
+    if (any_gate_noise && !ideal->capabilities().supports_noise) {
+      throw InvalidArgument(std::string(ideal->name()) +
+                            " backend cannot run gate-noise trajectories "
+                            "(supports_noise is false)");
+    }
+    ideal->apply(circuit);  // structured UnsupportedGate on an unsupported gate
+  }
+  // Cache the sampling form before the register is shared across shard
+  // workers: const queries on an unprepared engine rebuild it per call.
+  ideal->prepare();
+
+  // Runs shots [begin, end) into `out`. Shot i draws exclusively from
+  // Rng::for_stream(base_seed, i) — error-site Bernoullis in gate order,
+  // injection draws in site order, one uniform for the outcome, then the
+  // readout flips — so a range's outcomes depend only on its indices, never
+  // on which thread or chunk executes it, and every engine consumes the
+  // same draws.
+  auto run_shots = [&](std::size_t begin, std::size_t end, Counts& out) {
+    // The trajectory register is only needed when a gate error can fire.
+    std::unique_ptr<Backend> traj =
+        any_gate_noise ? make_backend(kind, circuit.num_qubits()) : nullptr;
+    std::vector<std::size_t> error_sites;
+    for (std::size_t shot = begin; shot < end; ++shot) {
+      Rng shot_rng = Rng::for_stream(base_seed, shot);
+      error_sites.clear();
+      if (any_gate_noise) {
+        for (std::size_t i = 0; i < gates.size(); ++i) {
+          if (error_probs[i] > 0.0 && shot_rng.bernoulli(error_probs[i])) {
+            error_sites.push_back(i);
+          }
+        }
+      }
+      std::size_t raw;
+      if (error_sites.empty()) {
+        raw = ideal->sample_index(shot_rng);
+      } else {
+        traj->reset();
+        std::size_t i = 0;
+        std::size_t next_err = 0;
+        if (fused != nullptr) {
+          // Every op fully before the first site fuses safely, and the
+          // injections it covers are drawn here in site order exactly as in
+          // the gate-by-gate replay, so the shot's stream is untouched.
+          StateVector& sv = static_cast<StateVectorBackend&>(*traj).state();
+          i = apply_fused_prefix(sv, *fused, error_sites[0] + 1);
+          while (next_err < error_sites.size() && error_sites[next_err] < i) {
+            inject_depolarizing(*traj, gates[error_sites[next_err]].qubits,
+                                shot_rng);
+            ++next_err;
+          }
+        }
+        for (; i < gates.size(); ++i) {
+          traj->apply_gate(gates[i]);
+          if (next_err < error_sites.size() && error_sites[next_err] == i) {
+            inject_depolarizing(*traj, gates[i].qubits, shot_rng);
+            ++next_err;
+          }
+        }
+        raw = traj->sample_index(shot_rng);
+      }
+      raw = apply_readout(raw, measured, noise.readout, shot_rng);
+      ++out.histogram[project_index(raw, measured)];
+    }
+  };
 
   // Shard plan. The chunk grain is a pure performance knob: results are
   // bit-identical for any partition because shot i's randomness is
@@ -292,107 +201,41 @@ Counts sample(const qir::Circuit& circuit, const NoiseModel& noise, Rng& rng,
   const std::size_t by_grain = std::max<std::size_t>(1, options.shots / grain);
   const std::size_t num_chunks =
       std::min<std::size_t>(by_grain, static_cast<std::size_t>(width) * 4);
-
-  const BackendKind resolved = resolve_backend(options.backend, circuit);
-  if (resolved == BackendKind::kStateVector) {
-    // The reference path, byte-for-byte the pre-backend sampler: one ideal
-    // run serves every error-free shot, shared read-only by all shard
-    // workers (StateVector::sample is const). With options.fuse this one
-    // run goes through the fused kernels, and the plan is kept for the
-    // errored trajectories below: each replays the fused prefix up to its
-    // first injection site (apply_fused_prefix) and only simulates the tail
-    // gate by gate — a per-shot injection site is a fence mid-stream, not a
-    // reason to abandon the whole plan.
-    StateVector ideal(circuit.num_qubits());
-    FusionPlan plan;
-    if (options.fuse) {
-      plan = FusionPlan::build(circuit);
-      ideal.apply_fused(plan);
-    } else {
-      ideal.apply_circuit(circuit);
-    }
-
-    SampleContext ctx;
-    ctx.circuit = &circuit;
-    ctx.ideal = &ideal;
-    ctx.plan = options.fuse ? &plan : nullptr;
-    ctx.measured = &measured;
-    ctx.noise = &noise;
-    ctx.error_probs = &error_probs;
-    ctx.any_gate_noise = any_gate_noise;
-    ctx.base_seed = base_seed;
-
-    if (width == 1 || num_chunks <= 1) {
-      run_shot_range(ctx, 0, options.shots, counts);
-      return counts;
-    }
-    const std::size_t chunk = (options.shots + num_chunks - 1) / num_chunks;
-    run_sharded(
-        [&ctx](std::size_t b, std::size_t e, Counts& out) {
-          run_shot_range(ctx, b, e, out);
-        },
-        options.shots, chunk, (options.shots + chunk - 1) / chunk, width,
-        *pool, counts);
-    return counts;
-  }
-
-  // Generic engine path (stabilizer / unitary). Same shape as above: one
-  // prepared ideal register shared read-only across shards, per-shot
-  // trajectory registers for errored shots.
-  std::unique_ptr<Backend> ideal = make_backend(resolved, circuit.num_qubits());
-  if (any_gate_noise && !ideal->capabilities().supports_noise) {
-    throw InvalidArgument(std::string(ideal->name()) +
-                          " backend cannot run gate-noise trajectories "
-                          "(supports_noise is false)");
-  }
-  ideal->apply(circuit);  // structured UnsupportedGate on an unsupported gate
-  // Cache the sampling form before the register is shared across shard
-  // workers: const queries on an unprepared engine rebuild it per call.
-  ideal->prepare();
-
-  BackendSampleContext ctx;
-  ctx.circuit = &circuit;
-  ctx.ideal = ideal.get();
-  ctx.kind = resolved;
-  ctx.measured = &measured;
-  ctx.noise = &noise;
-  ctx.error_probs = &error_probs;
-  ctx.any_gate_noise = any_gate_noise;
-  ctx.base_seed = base_seed;
-
   if (width == 1 || num_chunks <= 1) {
-    run_backend_shot_range(ctx, 0, options.shots, counts);
+    run_shots(0, options.shots, counts);
     return counts;
   }
+
+  // runtime::run_chunked is a caller-participates cursor: safe from inside a
+  // pool worker, and degrades to serial on a saturated pool. Chunk c writes
+  // only to partial[c], and the partials merge in index order, so the
+  // histogram is independent of width, pool, and claim order.
   const std::size_t chunk = (options.shots + num_chunks - 1) / num_chunks;
-  run_sharded(
-      [&ctx](std::size_t b, std::size_t e, Counts& out) {
-        run_backend_shot_range(ctx, b, e, out);
-      },
-      options.shots, chunk, (options.shots + chunk - 1) / chunk, width, *pool,
-      counts);
+  std::vector<Counts> partial((options.shots + chunk - 1) / chunk);
+  runtime::run_chunked(*pool, partial.size(), width, [&](std::size_t c) {
+    const std::size_t begin = c * chunk;
+    run_shots(begin, std::min(options.shots, begin + chunk), partial[c]);
+  });
+  for (const Counts& p : partial) {
+    for (const auto& [key, value] : p.histogram) {
+      counts.histogram[key] += value;
+    }
+  }
   return counts;
 }
 
 std::map<std::string, double> ideal_distribution(const qir::Circuit& circuit,
                                                  const std::vector<int>& measured) {
-  std::vector<int> m = resolve_measured(circuit, measured);
-  StateVector sv(circuit.num_qubits());
-  sv.apply_circuit(circuit);
-  std::map<std::string, double> out;
-  auto probs = sv.probabilities();
-  for (std::size_t i = 0; i < probs.size(); ++i) {
-    if (probs[i] <= 0.0) continue;
-    out[project_outcome(i, m)] += probs[i];
-  }
-  return out;
+  StateVectorBackend sv(circuit.num_qubits());
+  sv.apply(circuit);
+  return sv.distribution(measured);
 }
 
 std::string classical_outcome(const qir::Circuit& circuit,
                               const std::vector<int>& measured) {
   TETRIS_REQUIRE(circuit.is_classical(),
                  "classical_outcome requires a reversible (classical) circuit");
-  std::vector<int> m = resolve_measured(circuit, measured);
+  const std::vector<int> m = resolve_measured(circuit.num_qubits(), measured);
   // Propagate the all-zero bit assignment through the permutation gates.
   std::vector<char> bits(static_cast<std::size_t>(circuit.num_qubits()), 0);
   for (const auto& g : circuit.gates()) {
@@ -432,11 +275,7 @@ std::string classical_outcome(const qir::Circuit& circuit,
   for (std::size_t q = 0; q < bits.size(); ++q) {
     if (bits[q]) index |= std::size_t{1} << q;
   }
-  std::string out(m.size(), '0');
-  for (std::size_t i = 0; i < m.size(); ++i) {
-    if ((index >> m[i]) & 1) out[m.size() - 1 - i] = '1';
-  }
-  return out;
+  return project_index(index, m);
 }
 
 }  // namespace tetris::sim

@@ -4,6 +4,7 @@
 
 #include "common/error.h"
 #include "qir/library.h"
+#include "revlib/benchmarks.h"
 #include "runtime/thread_pool.h"
 #include "sim/kernels/simd.h"
 
@@ -344,6 +345,67 @@ TEST(SamplerFusedPrefix, NoisyHistogramBitIdenticalFusedVsUnfused) {
         << kernels::simd_mode_name(mode);
   }
   kernels::set_simd_mode(saved);
+}
+
+// ------------------------------------------------------------ golden pins
+
+/// Every engine runs the same shot loop, so a swap of engines cannot show a
+/// moved draw; these literal histograms can. Each circuit keeps its
+/// amplitudes exact (0/±1/±i for the reversible 4mod5 under Pauli errors,
+/// an exact tableau for the Clifford one), so the pins hold in every SIMD
+/// mode, fused or not, at any thread count.
+Counts pinned_sample(const qir::Circuit& circuit, bool fuse, BackendKind kind,
+                     unsigned threads, std::vector<int> measured) {
+  NoiseModel nm;
+  nm.p1 = 0.04;
+  nm.p2 = 0.08;
+  nm.readout = 0.03;
+  runtime::ThreadPool pool(threads);
+  SampleOptions opts;
+  opts.shots = 400;
+  opts.threads = threads;
+  opts.pool = &pool;
+  opts.shots_per_chunk = 16;
+  opts.fuse = fuse;
+  opts.backend = kind;
+  opts.measured = std::move(measured);
+  Rng rng(2025);
+  return sample(circuit, nm, rng, opts);
+}
+
+TEST(SamplerGoldenPin, NoisyHistogramsMatchRecordedCounts) {
+  const std::map<std::string, std::size_t> kReversible = {
+      {"00000", 14}, {"00001", 241}, {"00010", 4},  {"00011", 11},
+      {"00100", 2},  {"00101", 23},  {"00110", 2},  {"00111", 3},
+      {"01001", 22}, {"01011", 3},   {"01100", 1},  {"10000", 10},
+      {"10001", 21}, {"10010", 1},   {"10011", 7},  {"10100", 9},
+      {"10101", 10}, {"10110", 1},   {"10111", 2},  {"11000", 3},
+      {"11001", 6},  {"11011", 3},   {"11101", 1}};
+  const std::map<std::string, std::size_t> kClifford = {
+      {"000", 52}, {"001", 53}, {"010", 50}, {"011", 44},
+      {"100", 48}, {"101", 44}, {"110", 50}, {"111", 59}};
+
+  const qir::Circuit& reversible = revlib::get_benchmark("4mod5").circuit;
+  qir::Circuit clifford(5);
+  clifford.h(0).cx(0, 1).s(1).cx(1, 2).h(3).cx(2, 3).x(4).cx(3, 4).h(2);
+
+  for (unsigned threads : {1u, 4u}) {
+    EXPECT_EQ(pinned_sample(reversible, false, BackendKind::kStateVector,
+                            threads, {})
+                  .histogram,
+              kReversible)
+        << "unfused statevector, threads=" << threads;
+    EXPECT_EQ(pinned_sample(reversible, true, BackendKind::kStateVector,
+                            threads, {})
+                  .histogram,
+              kReversible)
+        << "fused statevector, threads=" << threads;
+    EXPECT_EQ(pinned_sample(clifford, false, BackendKind::kStabilizer, threads,
+                            {4, 0, 2})
+                  .histogram,
+              kClifford)
+        << "stabilizer, threads=" << threads;
+  }
 }
 
 TEST(SamplerEdge, ZeroQubitCircuit) {

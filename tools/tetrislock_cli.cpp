@@ -119,7 +119,6 @@
 #include "net/client.h"
 #include "net/dispatch.h"
 #include "net/server.h"
-#include "obs/trace.h"
 #include "qir/qasm.h"
 #include "qir/render.h"
 #include "revlib/benchmarks.h"
@@ -325,38 +324,23 @@ void print_store_stats(const service::Service& svc) {
             << store->config().dir << "\n";
 }
 
-/// --trace: one stderr line per pipeline span (stderr so --out-json and the
-/// stdout table stay machine-parseable with tracing on).
-void print_trace_summary(const obs::Trace& trace) {
-  double total = 0.0;
-  for (const obs::Span& span : trace.spans()) total += span.duration_seconds;
-  std::cerr << "trace: " << trace.spans().size() << " spans, "
-            << fmt_double(total, 3) << "s in stages\n";
-  for (const obs::Span& span : trace.spans()) {
-    std::cerr << "  " << pad_right(span.name, 18) << " +"
-              << fmt_double(span.start_seconds, 3) << "s  "
-              << fmt_double(span.duration_seconds, 3) << "s";
-    for (const auto& attr : span.attrs) {
-      std::cerr << "  " << attr.first << "=" << attr.second;
-    }
-    std::cerr << "\n";
-  }
-}
-
-/// Same summary from a GET /v1/jobs/{id}/trace document (submit path).
+/// --trace: one stderr line per pipeline span of a tetrislock.trace.v1
+/// document (service::trace_to_json, or GET /v1/jobs/{id}/trace on the
+/// submit path), start offset and duration in microseconds. stderr keeps
+/// --out-json and the stdout table machine-parseable with tracing on.
 void print_trace_document(const json::Value& doc) {
+  auto us = [](double seconds) { return fmt_double(seconds * 1e6, 0) + "us"; };
   const json::Value::Array& spans = doc.at("spans").as_array();
   double total = 0.0;
   for (const json::Value& span : spans) {
     total += span.at("duration_seconds").as_number();
   }
-  std::cerr << "trace: " << spans.size() << " spans, " << fmt_double(total, 3)
-            << "s in stages\n";
+  std::cerr << "trace: " << spans.size() << " spans, " << us(total)
+            << " in stages\n";
   for (const json::Value& span : spans) {
-    std::cerr << "  " << pad_right(span.at("name").as_string(), 18) << " +"
-              << fmt_double(span.at("start_seconds").as_number(), 3) << "s  "
-              << fmt_double(span.at("duration_seconds").as_number(), 3)
-              << "s";
+    std::cerr << "  " << pad_right(span.at("name").as_string(), 18)
+              << pad_right("+" + us(span.at("start_seconds").as_number()), 11)
+              << us(span.at("duration_seconds").as_number());
     if (const json::Value* attrs = span.find("attrs")) {
       for (const auto& attr : attrs->as_object()) {
         std::cerr << "  " << attr.first << "=" << attr.second.as_string();
@@ -560,7 +544,9 @@ int cmd_protect(const Options& o) {
   std::cout << "TVD restored      : " << fmt_double(r.tvd_restored, 3) << "\n";
   if (o.has("cache")) print_cache_stats(svc.cache_stats());
   print_store_stats(svc);
-  if (o.has("trace")) print_trace_summary(outcome.trace);
+  if (o.has("trace")) {
+    print_trace_document(json::parse(service::trace_to_json(outcome)));
+  }
   if (o.has("out-json")) {
     write_or_print(service::to_json(outcome), o.get("out-json"));
   }
