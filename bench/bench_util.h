@@ -1,15 +1,20 @@
 #pragma once
 
-// Shared helpers for the benchmark harnesses: CLI parsing and fixed-width
-// table printing. Kept header-only so each bench stays a single file.
+// Shared helpers for the benchmark harnesses: CLI parsing, fixed-width
+// table printing, and the host block of the JSON results. Kept header-only
+// so each bench stays a single file.
 
 #include <cstdint>
 #include <cstdlib>
+#include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/json.h"
 #include "common/strings.h"
+#include "sim/kernels/simd.h"
 
 namespace tetris::benchutil {
 
@@ -102,6 +107,26 @@ class Table {
   std::vector<std::string> headers_;
   std::vector<int> widths_;
 };
+
+/// Writes `"host": {nproc, cpu, simd}` into an open JSON object, so a result
+/// file says what kind of machine produced it. `cpu` is the first "model
+/// name" of /proc/cpuinfo (empty where that file does not exist).
+inline void write_host(json::Writer& w) {
+  std::string cpu;
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) == 0) {
+      const std::size_t colon = line.find(':');
+      if (colon != std::string::npos) cpu = trim(line.substr(colon + 1));
+      break;
+    }
+  }
+  w.key("host").begin_object();
+  w.key("nproc").value(std::thread::hardware_concurrency());
+  w.key("cpu").value(cpu);
+  w.key("simd").value(sim::kernels::simd_mode_name(sim::kernels::simd_mode()));
+  w.end_object();
+}
 
 /// ASCII bar for the Fig.4-style chart: value in [0,1] mapped to `width`.
 inline std::string bar(double value, int width = 40) {

@@ -12,6 +12,12 @@
 // perf trajectory; regenerate on multicore hardware for real scaling numbers
 // (a 1-core box reports speedup ~1.0 by construction).
 //
+// A second, single-thread section splits the cost of the same compiled
+// circuit into its noise-free part (one ideal run plus per-shot draws) and
+// the errored trajectories valencia noise adds, and reports how many gates
+// an errored shot replays after resuming from the ideal state at its first
+// error site (sim::SampleStats::tail_gates per errored shot).
+//
 // CI runs `bench_sampler_throughput --shots 64 --iterations 2 --threads 1,2`
 // as a smoke check and validates the JSON with `python -m json.tool`.
 
@@ -44,6 +50,26 @@ struct SweepPoint {
   double shots_per_second = 0.0;
 };
 
+/// Single-thread cost of the same circuit with and without gate noise.
+struct NoiseSplit {
+  double noise_free_seconds = 0.0;
+  double noisy_seconds = 0.0;
+  std::size_t errored_shots = 0;
+  std::size_t tail_gates = 0;
+  std::size_t total_shots = 0;
+
+  double errored_shot_frac() const {
+    return total_shots == 0 ? 0.0
+                            : static_cast<double>(errored_shots) /
+                                  static_cast<double>(total_shots);
+  }
+  double mean_tail_gates() const {
+    return errored_shots == 0 ? 0.0
+                              : static_cast<double>(tail_gates) /
+                                    static_cast<double>(errored_shots);
+  }
+};
+
 std::vector<unsigned> default_widths() {
   unsigned n = std::max(4u, std::thread::hardware_concurrency());
   return {1, n / 2, n};
@@ -63,10 +89,12 @@ std::vector<int> physical_measured(const revlib::Benchmark& b,
 
 void write_json(const std::string& path, const benchutil::Args& args,
                 const std::string& circuit, std::size_t gates, int qubits,
-                const std::vector<SweepPoint>& sweep, bool deterministic) {
+                const std::vector<SweepPoint>& sweep, const NoiseSplit& split,
+                bool deterministic) {
   json::Writer w;
   w.begin_object();
   w.key("bench").value("sampler_throughput");
+  benchutil::write_host(w);
   w.key("circuit").value(circuit);
   w.key("compiled_gates").value(gates);
   w.key("qubits").value(qubits);
@@ -94,6 +122,13 @@ void write_json(const std::string& path, const benchutil::Args& args,
       .value(sweep.empty() || sweep.front().wall_seconds <= 0.0
                  ? 0.0
                  : sweep.front().wall_seconds / std::max(1e-12, best_wall));
+  w.key("noise_split").begin_object();
+  w.key("threads").value(1);
+  w.key("noise_free_seconds").value(split.noise_free_seconds);
+  w.key("noisy_seconds").value(split.noisy_seconds);
+  w.key("errored_shot_frac").value(split.errored_shot_frac());
+  w.key("mean_tail_gates_per_errored_shot").value(split.mean_tail_gates());
+  w.end_object();
   w.end_object();
 
   std::ofstream out(path);
@@ -116,8 +151,9 @@ int main(int argc, char** argv) {
   widths.erase(std::unique(widths.begin(), widths.end()), widths.end());
 
   // Workload: the widest Table-I circuit, compiled to its device, sampled
-  // under the device's noise — gate errors re-simulate whole trajectories,
-  // which is where the shot loop actually spends its time.
+  // under the device's noise — errored shots simulate their trajectories
+  // from the first error site on, which is where the shot loop actually
+  // spends its time.
   const auto& b = revlib::get_benchmark("rd84");
   auto target = compiler::device_for(b.circuit.num_qubits());
   auto compiled = compiler::Compiler(compiler::CompileOptions(target))
@@ -202,7 +238,37 @@ int main(int argc, char** argv) {
   std::cout << "\ncounts identical across widths and chunk grains: "
             << (deterministic ? "yes" : "NO — DETERMINISM BUG") << "\n";
 
+  // Noise-free vs noisy on one thread, same circuit and shot grid.
+  NoiseSplit split;
+  {
+    sim::SampleOptions sopts = opts;
+    sopts.threads = 1;
+    auto timed = [&](const sim::NoiseModel& noise) {
+      const auto start = std::chrono::steady_clock::now();
+      for (int iter = 0; iter < iterations; ++iter) {
+        Rng rng(args.seed + static_cast<std::uint64_t>(iter));
+        sim::SampleStats stats;
+        sim::sample(compiled.circuit, noise, rng, sopts, &stats);
+        split.errored_shots += stats.errored_shots;
+        split.tail_gates += stats.tail_gates;
+      }
+      return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                           start)
+          .count();
+    };
+    split.noise_free_seconds = timed(sim::NoiseModel::ideal());
+    split.noisy_seconds = timed(target.noise);
+    split.total_shots = total_shots;
+  }
+  std::cout << "\n1 thread: noise-free " << fmt_double(split.noise_free_seconds, 3)
+            << " s, " << target.noise.name << " "
+            << fmt_double(split.noisy_seconds, 3) << " s; "
+            << fmt_double(100.0 * split.errored_shot_frac(), 1)
+            << "% of shots errored, replaying "
+            << fmt_double(split.mean_tail_gates(), 1) << " of "
+            << compiled.circuit.gate_count() << " gates each on average\n";
+
   write_json(out_path, args, b.name, compiled.circuit.gate_count(),
-             compiled.circuit.num_qubits(), sweep, deterministic);
+             compiled.circuit.num_qubits(), sweep, split, deterministic);
   return deterministic ? 0 : 1;
 }

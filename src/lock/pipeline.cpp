@@ -126,6 +126,16 @@ FlowResult run_flow(const qir::Circuit& circuit,
         .attr("fused", opts.fuse ? "1" : "0");
     return span;
   };
+  // Samples `sampled` and adds the run's trajectory counts to its span. The
+  // counts are thread-invariant and live only in the trace, never in the
+  // result.
+  auto sample_into = [&](obs::ScopedSpan& span, const qir::Circuit& sampled) {
+    sim::SampleStats stats;
+    auto counts = sim::sample(sampled, target.noise, rng, opts, &stats);
+    span.attr("errored_shots", static_cast<std::uint64_t>(stats.errored_shots))
+        .attr("tail_gates", static_cast<std::uint64_t>(stats.tail_gates));
+    return counts;
+  };
 
   // Obfuscated view: the masked circuit R.C an adversary would run, compiled
   // on the same backend (paper Sec. V-C).
@@ -134,7 +144,7 @@ FlowResult run_flow(const qir::Circuit& circuit,
     compiler::Compiler masked_compiler(first_options);
     auto compiled_masked = masked_compiler.compile(result.obf.masked());
     opts.measured = map_measured(measured, compiled_masked.final_layout);
-    auto counts = sim::sample(compiled_masked.circuit, target.noise, rng, opts);
+    auto counts = sample_into(span, compiled_masked.circuit);
     result.tvd_obfuscated = metrics::tvd(counts, reference);
   }
 
@@ -142,8 +152,7 @@ FlowResult run_flow(const qir::Circuit& circuit,
   {
     auto span = sample_span("restored");
     opts.measured = map_measured(measured, result.recombined.orig_to_phys);
-    auto counts =
-        sim::sample(result.recombined.circuit, target.noise, rng, opts);
+    auto counts = sample_into(span, result.recombined.circuit);
     result.tvd_restored = metrics::tvd(counts, reference);
     if (!correct.empty()) {
       result.accuracy_restored = metrics::accuracy(counts, correct);
@@ -154,7 +163,7 @@ FlowResult run_flow(const qir::Circuit& circuit,
   {
     auto span = sample_span("baseline");
     opts.measured = map_measured(measured, result.baseline.final_layout);
-    auto counts = sim::sample(result.baseline.circuit, target.noise, rng, opts);
+    auto counts = sample_into(span, result.baseline.circuit);
     if (!correct.empty()) {
       result.accuracy_original = metrics::accuracy(counts, correct);
     }

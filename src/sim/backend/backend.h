@@ -102,6 +102,13 @@ class Backend {
   /// Back to |0...0>, discarding any prepared state.
   virtual void reset() = 0;
 
+  /// Makes this register a copy of `other`'s state, discarding any prepared
+  /// state (queries re-prepare lazily). This is how sim::sample resumes an
+  /// errored trajectory from the ideal prefix instead of replaying it from
+  /// |0...0>. Throws InvalidArgument when `other` is a different engine or
+  /// width, or when the engine cannot host trajectories at all.
+  virtual void assign(const Backend& other) = 0;
+
   /// Applies one gate; throws UnsupportedGate (without an index) when the
   /// engine cannot execute it.
   virtual void apply_gate(const qir::Gate& gate) = 0;

@@ -49,6 +49,17 @@ void StabilizerBackend::reset() {
   touch();
 }
 
+void StabilizerBackend::assign(const Backend& other) {
+  const auto* src = dynamic_cast<const StabilizerBackend*>(&other);
+  TETRIS_REQUIRE(src != nullptr && src->num_qubits_ == num_qubits_,
+                 "StabilizerBackend::assign: source must be a stabilizer "
+                 "register of the same width");
+  xs_ = src->xs_;
+  zs_ = src->zs_;
+  rs_ = src->rs_;
+  touch();
+}
+
 // Conjugation rules, in the convention "row = (-1)^r * product of sigma_q"
 // with sigma coded by (x, z) bits as I/X/Z/Y. Each rule is the textbook
 // Heisenberg update: H swaps X and Z (Y picks up a sign), S sends X -> Y ->

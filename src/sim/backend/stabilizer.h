@@ -67,6 +67,9 @@ class StabilizerBackend final : public Backend {
   int num_qubits() const override { return num_qubits_; }
 
   void reset() override;
+  /// Tableau copy from another stabilizer register of the same width; the
+  /// sampling support is dropped and rebuilt lazily.
+  void assign(const Backend& other) override;
   void apply_gate(const qir::Gate& gate) override;
   void apply_pauli(char pauli, int q) override;
 

@@ -2,6 +2,14 @@
 
 namespace tetris::sim {
 
+void StateVectorBackend::assign(const Backend& other) {
+  const auto* src = dynamic_cast<const StateVectorBackend*>(&other);
+  TETRIS_REQUIRE(src != nullptr && src->num_qubits() == num_qubits(),
+                 "StateVectorBackend::assign: source must be a statevector "
+                 "register of the same width");
+  sv_ = src->sv_;
+}
+
 double StateVectorBackend::probability(std::size_t index) const {
   TETRIS_REQUIRE(index < sv_.dim(),
                  "StateVectorBackend::probability: index out of range");

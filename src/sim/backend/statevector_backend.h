@@ -9,8 +9,8 @@ namespace tetris::sim {
 /// that forwards every call verbatim to sim::StateVector. The register
 /// stays a concrete class because the fusion engine and the tests drive it
 /// directly; `state()` exposes it, which is how sim::sample runs the fused
-/// ideal run and the fused-prefix replay of errored shots. Executes every
-/// gate kind of the IR; width-capped at 28 qubits by the underlying
+/// ideal run and walks the errored shots' cursor through the plan. Executes
+/// every gate kind of the IR; width-capped at 28 qubits by the underlying
 /// register.
 class StateVectorBackend final : public Backend {
  public:
@@ -30,6 +30,8 @@ class StateVectorBackend final : public Backend {
   int num_qubits() const override { return sv_.num_qubits(); }
 
   void reset() override { sv_.reset(); }
+  /// Amplitude copy from another statevector register of the same width.
+  void assign(const Backend& other) override;
   void apply_gate(const qir::Gate& gate) override { sv_.apply_gate(gate); }
   void apply_pauli(char pauli, int q) override { sv_.apply_pauli(pauli, q); }
 

@@ -22,6 +22,13 @@ void DenseUnitaryBackend::apply_gate(const qir::Gate& gate) {
   prepared_ = false;
 }
 
+void DenseUnitaryBackend::assign(const Backend& other) {
+  (void)other;
+  throw InvalidArgument(
+      "unitary backend cannot copy trajectory state "
+      "(supports_noise is false)");
+}
+
 void DenseUnitaryBackend::apply_pauli(char pauli, int q) {
   (void)pauli;
   (void)q;

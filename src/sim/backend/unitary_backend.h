@@ -39,6 +39,8 @@ class DenseUnitaryBackend final : public Backend {
   int num_qubits() const override { return num_qubits_; }
 
   void reset() override;
+  /// Always throws InvalidArgument: the engine hosts no trajectories.
+  void assign(const Backend& other) override;
   /// Records the gate; the operator is materialized lazily by prepare().
   void apply_gate(const qir::Gate& gate) override;
   /// Always throws InvalidArgument (see class comment).

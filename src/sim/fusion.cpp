@@ -397,15 +397,17 @@ void StateVector::apply_fused(const FusionPlan& plan) {
   }
 }
 
-std::size_t apply_fused_prefix(StateVector& sv, const FusionPlan& plan,
-                               std::size_t gate_end) {
-  std::size_t next = 0;
-  for (const FusedOp& op : plan.ops()) {
+std::size_t advance_fused(StateVector& sv, const FusionPlan& plan,
+                          std::size_t& next_op, std::size_t gate_end) {
+  const auto& ops = plan.ops();
+  for (; next_op < ops.size(); ++next_op) {
+    const FusedOp& op = ops[next_op];
     if (op.first_gate + op.gate_count > gate_end) break;
     sv.apply_fused_op(op);
-    next = op.first_gate + op.gate_count;
   }
-  return next;
+  if (next_op == 0) return 0;
+  const FusedOp& last = ops[next_op - 1];
+  return last.first_gate + last.gate_count;
 }
 
 }  // namespace tetris::sim

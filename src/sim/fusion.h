@@ -73,9 +73,10 @@ struct FusedOp {
 /// **Fences.** No fused op ever spans a Barrier gate or a
 /// FusionOptions::boundaries index — the non-unitary-event contract the
 /// trajectory sampler relies on. A per-shot noise-injection site is such a
-/// fence: sim::sample replays the plan up to a shot's first injection site
-/// with apply_fused_prefix (every op fully before the site is safe to fuse)
-/// and runs the rest of that trajectory gate by gate.
+/// fence: sim::sample walks one cursor register forward through the plan
+/// with advance_fused (every op fully before a shot's first injection site
+/// is safe to fuse), resumes each errored shot from a copy of that cursor,
+/// and runs only the rest of the trajectory gate by gate.
 ///
 /// **Floating point.** Merging gates multiplies their matrices, which
 /// reorders FP arithmetic: a fused run is tolerance-equal to the unfused one
@@ -108,17 +109,22 @@ class FusionPlan {
 /// in either orientation; throws InvalidArgument otherwise.
 void two_qubit_matrix(const qir::Gate& gate, int a, int b, cplx out[4][4]);
 
-/// Applies every op of `plan` whose source gates lie entirely before
-/// `gate_end` (an exclusive gate-stream index), in order, and returns the
-/// index of the first gate NOT applied — the point a gate-by-gate replay
-/// resumes from. An op that straddles `gate_end` is skipped along with
-/// everything after it, so no fused arithmetic ever crosses the boundary.
-/// This is the errored-trajectory primitive of sim::sample: a shot with its
-/// first noise injection after gate g replays the fused prefix through
-/// gate g (gate_end = g + 1) and only simulates the tail unfused. Ops are
-/// applied via StateVector::apply_fused_op, so the prefix is exactly as
+/// Resumable forward walk over `plan`: starting at op index `next_op`,
+/// applies every op whose source gates lie entirely before `gate_end` (an
+/// exclusive gate-stream index), in order, leaves `next_op` at the first op
+/// NOT applied, and returns the index of the first gate not applied — the
+/// point a gate-by-gate replay resumes from. An op that straddles
+/// `gate_end` stops the walk, so no fused arithmetic ever crosses the
+/// boundary; a later call with a larger `gate_end` picks up where this one
+/// stopped, and a `gate_end` at or below the current position applies
+/// nothing. From `next_op = 0` on |0...0>, a run of calls with ascending
+/// `gate_end` leaves `sv` bit-identical to a single call with the last one.
+/// This is the errored-trajectory cursor of sim::sample: shots sorted by
+/// first injection site g advance one register through gate g
+/// (gate_end = g + 1), and each shot simulates only its tail unfused. Ops
+/// are applied via StateVector::apply_fused_op, so the prefix is exactly as
 /// tolerance- or bit-equal to the unfused gates as apply_fused itself.
-std::size_t apply_fused_prefix(StateVector& sv, const FusionPlan& plan,
-                               std::size_t gate_end);
+std::size_t advance_fused(StateVector& sv, const FusionPlan& plan,
+                          std::size_t& next_op, std::size_t gate_end);
 
 }  // namespace tetris::sim

@@ -83,11 +83,12 @@ std::string bitstring(std::size_t index, int num_bits) {
 }
 
 Counts sample(const qir::Circuit& circuit, const NoiseModel& noise, Rng& rng,
-              const SampleOptions& options) {
+              const SampleOptions& options, SampleStats* stats) {
   const std::vector<int> measured =
       resolve_measured(circuit.num_qubits(), options.measured);
   Counts counts;
   counts.shots = options.shots;
+  if (stats != nullptr) *stats = SampleStats{};
   // Exactly one draw, unconditionally: the base of the per-shot stream
   // family. The caller's generator advancement is therefore independent of
   // shots, threads, and chunking.
@@ -105,9 +106,8 @@ Counts sample(const qir::Circuit& circuit, const NoiseModel& noise, Rng& rng,
   // One ideal run serves every error-free shot, shared read-only by all
   // shard workers. On the statevector engine with options.fuse it goes
   // through the fused kernels, and the plan is kept for the errored
-  // trajectories below: each replays the fused prefix up to its first
-  // injection site (apply_fused_prefix) and only simulates the tail gate by
-  // gate. Only this engine ever builds a plan; the others ignore `fuse`.
+  // trajectories' cursor below. Only this engine ever builds a plan; the
+  // others ignore `fuse`.
   const BackendKind kind = resolve_backend(options.backend, circuit);
   std::unique_ptr<Backend> ideal;
   FusionPlan plan;
@@ -131,58 +131,89 @@ Counts sample(const qir::Circuit& circuit, const NoiseModel& noise, Rng& rng,
   // workers: const queries on an unprepared engine rebuild it per call.
   ideal->prepare();
 
+  // Shot i's error sites: one Bernoulli per gate, in gate order, drawn from
+  // its own stream — the first draws every shot makes.
+  auto draw_sites = [&](Rng& shot_rng, std::vector<std::size_t>& sites) {
+    sites.clear();
+    if (!any_gate_noise) return;
+    for (std::size_t i = 0; i < gates.size(); ++i) {
+      if (error_probs[i] > 0.0 && shot_rng.bernoulli(error_probs[i])) {
+        sites.push_back(i);
+      }
+    }
+  };
+
   // Runs shots [begin, end) into `out`. Shot i draws exclusively from
   // Rng::for_stream(base_seed, i) — error-site Bernoullis in gate order,
   // injection draws in site order, one uniform for the outcome, then the
   // readout flips — so a range's outcomes depend only on its indices, never
   // on which thread or chunk executes it, and every engine consumes the
   // same draws.
-  auto run_shots = [&](std::size_t begin, std::size_t end, Counts& out) {
-    // The trajectory register is only needed when a gate error can fire.
-    std::unique_ptr<Backend> traj =
-        any_gate_noise ? make_backend(kind, circuit.num_qubits()) : nullptr;
-    std::vector<std::size_t> error_sites;
-    for (std::size_t shot = begin; shot < end; ++shot) {
-      Rng shot_rng = Rng::for_stream(base_seed, shot);
-      error_sites.clear();
-      if (any_gate_noise) {
-        for (std::size_t i = 0; i < gates.size(); ++i) {
-          if (error_probs[i] > 0.0 && shot_rng.bernoulli(error_probs[i])) {
-            error_sites.push_back(i);
-          }
-        }
-      }
-      std::size_t raw;
-      if (error_sites.empty()) {
-        raw = ideal->sample_index(shot_rng);
-      } else {
-        traj->reset();
-        std::size_t i = 0;
-        std::size_t next_err = 0;
-        if (fused != nullptr) {
-          // Every op fully before the first site fuses safely, and the
-          // injections it covers are drawn here in site order exactly as in
-          // the gate-by-gate replay, so the shot's stream is untouched.
-          StateVector& sv = static_cast<StateVectorBackend&>(*traj).state();
-          i = apply_fused_prefix(sv, *fused, error_sites[0] + 1);
-          while (next_err < error_sites.size() && error_sites[next_err] < i) {
-            inject_depolarizing(*traj, gates[error_sites[next_err]].qubits,
-                                shot_rng);
-            ++next_err;
-          }
-        }
-        for (; i < gates.size(); ++i) {
-          traj->apply_gate(gates[i]);
-          if (next_err < error_sites.size() && error_sites[next_err] == i) {
-            inject_depolarizing(*traj, gates[i].qubits, shot_rng);
-            ++next_err;
-          }
-        }
-        raw = traj->sample_index(shot_rng);
-      }
+  //
+  // Phase 1 draws every shot's sites; error-free shots finish on the ideal
+  // register. Phase 2 takes the errored shots in order of first site and
+  // walks one cursor register forward from |0...0> through that site (by
+  // whole fused ops when fused, exactly the ops that fit before it); each
+  // shot copies the cursor, injects the sites it passed, and replays only
+  // the tail. The cursor holds the bits a fresh register reaches through
+  // the same kernels in the same order, so the counts are those of a full
+  // replay from |0...0>. A shot's generator is re-derived in phase 2 and
+  // re-draws its sites, so the only per-shot state kept between the phases
+  // is (first site, shot index).
+  auto run_shots = [&](std::size_t begin, std::size_t end, Counts& out,
+                       SampleStats& st) {
+    auto finish = [&](std::size_t raw, Rng& shot_rng) {
       raw = apply_readout(raw, measured, noise.readout, shot_rng);
       ++out.histogram[project_index(raw, measured)];
+    };
+    std::vector<std::size_t> sites;
+    std::vector<std::pair<std::size_t, std::size_t>> errored;
+    for (std::size_t shot = begin; shot < end; ++shot) {
+      Rng shot_rng = Rng::for_stream(base_seed, shot);
+      draw_sites(shot_rng, sites);
+      if (sites.empty()) {
+        finish(ideal->sample_index(shot_rng), shot_rng);
+      } else {
+        errored.emplace_back(sites.front(), shot);
+      }
     }
+    if (errored.empty()) return;
+
+    std::sort(errored.begin(), errored.end());
+    const std::unique_ptr<Backend> cursor =
+        make_backend(kind, circuit.num_qubits());
+    const std::unique_ptr<Backend> traj =
+        make_backend(kind, circuit.num_qubits());
+    std::size_t resume = 0;   // first gate the cursor has not applied
+    std::size_t next_op = 0;  // fused: first plan op the cursor has not applied
+    for (const auto& [first_site, shot] : errored) {
+      if (fused != nullptr) {
+        resume = advance_fused(
+            static_cast<StateVectorBackend&>(*cursor).state(), *fused,
+            next_op, first_site + 1);
+      } else {
+        for (; resume <= first_site; ++resume) {
+          cursor->apply_gate(gates[resume]);
+        }
+      }
+      Rng shot_rng = Rng::for_stream(base_seed, shot);
+      draw_sites(shot_rng, sites);
+      traj->assign(*cursor);
+      std::size_t next_err = 0;
+      for (; next_err < sites.size() && sites[next_err] < resume; ++next_err) {
+        inject_depolarizing(*traj, gates[sites[next_err]].qubits, shot_rng);
+      }
+      for (std::size_t i = resume; i < gates.size(); ++i) {
+        traj->apply_gate(gates[i]);
+        if (next_err < sites.size() && sites[next_err] == i) {
+          inject_depolarizing(*traj, gates[i].qubits, shot_rng);
+          ++next_err;
+        }
+      }
+      st.tail_gates += gates.size() - resume;
+      finish(traj->sample_index(shot_rng), shot_rng);
+    }
+    st.errored_shots += errored.size();
   };
 
   // Shard plan. The chunk grain is a pure performance knob: results are
@@ -201,26 +232,32 @@ Counts sample(const qir::Circuit& circuit, const NoiseModel& noise, Rng& rng,
   const std::size_t by_grain = std::max<std::size_t>(1, options.shots / grain);
   const std::size_t num_chunks =
       std::min<std::size_t>(by_grain, static_cast<std::size_t>(width) * 4);
+  SampleStats total;
   if (width == 1 || num_chunks <= 1) {
-    run_shots(0, options.shots, counts);
-    return counts;
-  }
-
-  // runtime::run_chunked is a caller-participates cursor: safe from inside a
-  // pool worker, and degrades to serial on a saturated pool. Chunk c writes
-  // only to partial[c], and the partials merge in index order, so the
-  // histogram is independent of width, pool, and claim order.
-  const std::size_t chunk = (options.shots + num_chunks - 1) / num_chunks;
-  std::vector<Counts> partial((options.shots + chunk - 1) / chunk);
-  runtime::run_chunked(*pool, partial.size(), width, [&](std::size_t c) {
-    const std::size_t begin = c * chunk;
-    run_shots(begin, std::min(options.shots, begin + chunk), partial[c]);
-  });
-  for (const Counts& p : partial) {
-    for (const auto& [key, value] : p.histogram) {
-      counts.histogram[key] += value;
+    run_shots(0, options.shots, counts, total);
+  } else {
+    // runtime::run_chunked is a caller-participates cursor: safe from inside
+    // a pool worker, and degrades to serial on a saturated pool. Chunk c
+    // writes only to partial[c], and the partials merge in index order, so
+    // the histogram is independent of width, pool, and claim order.
+    const std::size_t chunk = (options.shots + num_chunks - 1) / num_chunks;
+    const std::size_t chunks = (options.shots + chunk - 1) / chunk;
+    std::vector<Counts> partial(chunks);
+    std::vector<SampleStats> partial_stats(chunks);
+    runtime::run_chunked(*pool, chunks, width, [&](std::size_t c) {
+      const std::size_t begin = c * chunk;
+      run_shots(begin, std::min(options.shots, begin + chunk), partial[c],
+                partial_stats[c]);
+    });
+    for (std::size_t c = 0; c < chunks; ++c) {
+      for (const auto& [key, value] : partial[c].histogram) {
+        counts.histogram[key] += value;
+      }
+      total.errored_shots += partial_stats[c].errored_shots;
+      total.tail_gates += partial_stats[c].tail_gates;
     }
   }
+  if (stats != nullptr) *stats = total;
   return counts;
 }
 

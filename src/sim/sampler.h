@@ -84,10 +84,11 @@ struct SampleOptions {
 
   /// Fuse adjacent gates of the ideal (noise-free) run into combined
   /// kernels (sim/fusion.h) so each amplitude sweep does more arithmetic
-  /// per byte. Errored trajectories replay the fused prefix up to their
-  /// first noise-injection site (sim::apply_fused_prefix) and re-simulate
-  /// only the tail gate by gate: an injection site is a fence a fused op
-  /// must not cross, not a reason to abandon the plan.
+  /// per byte. Errored trajectories resume from a cursor register that
+  /// walks the fused plan forward up to their first noise-injection site
+  /// (sim::advance_fused) and simulate only the tail gate by gate: an
+  /// injection site is a fence a fused op must not cross, not a reason to
+  /// abandon the plan.
   /// Fused sweeps reorder floating-point arithmetic, so fused counts are
   /// tolerance-equal — NOT bit-identical — to unfused ones; the knob is
   /// therefore off by default and, unlike `threads`, part of
@@ -110,12 +111,28 @@ struct SampleOptions {
   BackendKind backend = BackendKind::kAuto;
 };
 
+/// \brief What one `sample` call simulated beyond the ideal run, for
+/// tracing. Both counts depend only on the shots' randomness, so they are
+/// identical at any `threads`, `pool`, or `shots_per_chunk` value.
+struct SampleStats {
+  /// Shots on which at least one gate error fired.
+  std::size_t errored_shots = 0;
+  /// Gates replayed after the errored shots' resume points, summed over
+  /// those shots (the trajectory work; the shared prefix is not counted).
+  std::size_t tail_gates = 0;
+};
+
 /// \brief Samples measurement outcomes of `circuit` under `noise`.
 ///
 /// Ideal (noise-free) parts are served from a single run of the chosen
-/// engine; shots on which at least one gate error fires are re-simulated as
-/// individual Pauli trajectories on the same engine. Readout errors are
-/// applied per shot.
+/// engine. A shot on which at least one gate error fires is an individual
+/// Pauli trajectory on the same engine, resumed from the ideal state at its
+/// first error site: the gates before that site are the ideal run's
+/// prefix, so each shard chunk walks one cursor register forward through
+/// its errored shots in order of first site, and each shot copies the
+/// cursor (Backend::assign) and simulates only the remaining tail. The
+/// counts are bit-identical to replaying every errored shot from
+/// |0...0>. Readout errors are applied per shot.
 ///
 /// **Determinism contract.** The call consumes exactly one 64-bit draw from
 /// `rng` — the base of a SplitMix64 stream family — and trajectory `i` then
@@ -138,6 +155,7 @@ struct SampleOptions {
 /// \param noise   stochastic Pauli noise model (see noise.h)
 /// \param rng     seed source; consumes exactly one draw
 /// \param options shots, measured qubits, and sharding knobs
+/// \param stats   when non-null, receives the call's SampleStats
 /// \return histogram over measured-qubit outcomes with `options.shots` shots
 /// \throws InvalidArgument when a measured qubit is out of range, or when
 ///   the chosen backend cannot host the run (register wider than its
@@ -146,7 +164,7 @@ struct SampleOptions {
 ///   (e.g. a T gate on the stabilizer engine); the error names the gate and
 ///   its index
 Counts sample(const qir::Circuit& circuit, const NoiseModel& noise, Rng& rng,
-              const SampleOptions& options = {});
+              const SampleOptions& options = {}, SampleStats* stats = nullptr);
 
 /// \brief Exact noise-free outcome distribution over the measured qubits
 /// (marginalized if `measured` is a strict subset).

@@ -90,7 +90,7 @@ class StateVector {
   void apply_fused(const FusionPlan& plan);
 
   /// Applies one fused op (the unit apply_fused iterates) to the full
-  /// register. Used by sim::apply_fused_prefix to replay a plan prefix.
+  /// register. Used by sim::advance_fused to walk a plan prefix.
   void apply_fused_op(const FusedOp& op);
 
   /// Applies an arbitrary 2x2 matrix to qubit q in one amplitude sweep (the

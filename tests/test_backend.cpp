@@ -23,44 +23,14 @@
 #include "sim/backend/unitary_backend.h"
 #include "sim/sampler.h"
 #include "sim/statevector.h"
+#include "test_util.h"
 
 namespace tetris::sim {
 namespace {
 
 constexpr double kHalfPi = 1.5707963267948966;
 
-/// Random Clifford circuit over the FIXED-matrix Clifford gates (H, S, Sdg,
-/// X, Y, Z, SX, SXdg, CX, CY, CZ, SWAP). Parametric quarter-turn gates are
-/// deliberately excluded here: their statevector matrices go through libm
-/// cos/sin, which is correct to <1 ulp but not guaranteed exactly on the
-/// Clifford grid — the exact shot-for-shot harness needs the grid.
-qir::Circuit random_clifford(int num_qubits, int num_gates, Rng& rng) {
-  qir::Circuit c(num_qubits);
-  for (int i = 0; i < num_gates; ++i) {
-    const int a = static_cast<int>(rng.index(static_cast<std::size_t>(num_qubits)));
-    const int b = num_qubits < 2
-                      ? a
-                      : (a + 1 +
-                         static_cast<int>(rng.index(
-                             static_cast<std::size_t>(num_qubits - 1)))) %
-                            num_qubits;
-    switch (rng.index(12)) {
-      case 0: c.add(qir::make_h(a)); break;
-      case 1: c.add(qir::make_s(a)); break;
-      case 2: c.add(qir::make_sdg(a)); break;
-      case 3: c.add(qir::make_x(a)); break;
-      case 4: c.add(qir::make_y(a)); break;
-      case 5: c.add(qir::make_z(a)); break;
-      case 6: c.add(qir::make_sx(a)); break;
-      case 7: c.add(qir::make_sxdg(a)); break;
-      case 8: c.add(qir::make_cx(a, b)); break;
-      case 9: c.add(qir::make_cy(a, b)); break;
-      case 10: c.add(qir::make_cz(a, b)); break;
-      default: c.add(qir::make_swap(a, b)); break;
-    }
-  }
-  return c;
-}
+using testutil::random_clifford;
 
 // ----------------------------------------------------------- kinds/registry
 
@@ -179,6 +149,74 @@ TEST(BackendFidelity, StabilizerHasNoDenseState) {
   StateVectorBackend sv(2);
   StabilizerBackend stab(2);
   EXPECT_THROW(sv.fidelity_with(stab), InvalidArgument);
+}
+
+// ------------------------------------------------------------------- assign
+
+TEST(BackendAssign, StateVectorCopiesAmplitudesExactly) {
+  Rng gen(21);
+  const qir::Circuit c = random_clifford(4, 30, gen);
+  StateVectorBackend source(4);
+  source.apply(c);
+  source.apply_pauli('Y', 2);
+  StateVectorBackend copy(4);
+  copy.apply_gate(qir::make_h(1));  // overwritten, not merged
+  copy.assign(source);
+  EXPECT_EQ(copy.state().max_abs_diff(source.state()), 0.0);
+  // A copy, not an alias: the source is untouched by later gates.
+  StateVectorBackend before(4);
+  before.assign(source);
+  copy.apply_gate(qir::make_x(0));
+  EXPECT_EQ(source.state().max_abs_diff(before.state()), 0.0);
+}
+
+TEST(BackendAssign, StabilizerCopiesTableauExactly) {
+  Rng gen(22);
+  const qir::Circuit c = random_clifford(5, 40, gen);
+  StabilizerBackend source(5);
+  source.apply(c);
+  source.apply_pauli('Z', 3);
+  StabilizerBackend copy(5);
+  copy.apply_gate(qir::make_h(0));
+  copy.assign(source);
+  EXPECT_EQ(copy.distribution(), source.distribution());
+  Rng a(5), b(5);
+  for (int i = 0; i < 50; ++i) {
+    EXPECT_EQ(copy.sample_index(a), source.sample_index(b));
+  }
+}
+
+TEST(BackendAssign, StabilizerCopyDropsPreparedSupport) {
+  // The destination's prepared support describes its OLD state; assign must
+  // drop it so the next query re-prepares from the copied tableau.
+  StabilizerBackend bell(2);
+  bell.apply_gate(qir::make_h(0));
+  bell.apply_gate(qir::make_cx(0, 1));
+  bell.prepare();
+  ASSERT_EQ(bell.support_dim(), 1);
+  StabilizerBackend basis(2);
+  basis.apply_gate(qir::make_x(1));
+  basis.prepare();
+  bell.assign(basis);
+  EXPECT_EQ(bell.support_dim(), 0);
+  EXPECT_EQ(bell.probability(2), 1.0);
+  Rng rng(1);
+  for (int i = 0; i < 20; ++i) EXPECT_EQ(bell.sample_index(rng), 2u);
+  bell.prepare();
+  EXPECT_EQ(bell.distribution(), basis.distribution());
+}
+
+TEST(BackendAssign, RejectsWidthOrEngineMismatch) {
+  StateVectorBackend sv3(3), sv4(4);
+  StabilizerBackend stab3(3), stab4(4);
+  DenseUnitaryBackend unitary3(3), other_unitary3(3);
+  EXPECT_THROW(sv3.assign(sv4), InvalidArgument);
+  EXPECT_THROW(stab3.assign(stab4), InvalidArgument);
+  EXPECT_THROW(sv3.assign(stab3), InvalidArgument);
+  EXPECT_THROW(stab3.assign(sv3), InvalidArgument);
+  EXPECT_THROW(sv3.assign(unitary3), InvalidArgument);
+  // The dense-operator engine hosts no trajectories at all.
+  EXPECT_THROW(unitary3.assign(other_unitary3), InvalidArgument);
 }
 
 // ----------------------------------------------------------- stabilizer core

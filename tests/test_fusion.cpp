@@ -457,12 +457,20 @@ TEST(ApplyFused, RejectsWiderPlans) {
   EXPECT_THROW(narrow.apply_fused(plan), InvalidArgument);
 }
 
-// ------------------------------------------------------ apply_fused_prefix
+// ----------------------------------------------------------- advance_fused
 
-TEST(ApplyFusedPrefix, PrefixPlusUnfusedTailEqualsFullRun) {
-  // The errored-trajectory contract: replaying the fused prefix through any
-  // boundary and finishing gate by gate from the returned index must equal
-  // the full unfused run — whatever the boundary cuts through.
+/// advance_fused from a fresh register and op cursor: the plan prefix
+/// through `gate_end`, as the first errored shot of a sampler chunk sees it.
+std::size_t advance_from_zero(StateVector& sv, const FusionPlan& plan,
+                              std::size_t gate_end) {
+  std::size_t next_op = 0;
+  return advance_fused(sv, plan, next_op, gate_end);
+}
+
+TEST(AdvanceFused, PrefixPlusUnfusedTailEqualsFullRun) {
+  // The errored-trajectory contract: advancing through any boundary and
+  // finishing gate by gate from the returned index must equal the full
+  // unfused run — whatever the boundary cuts through.
   Rng rng(71);
   qir::Circuit c = random_fusible(5, 60, rng);
   const auto plan = FusionPlan::build(c);
@@ -471,14 +479,14 @@ TEST(ApplyFusedPrefix, PrefixPlusUnfusedTailEqualsFullRun) {
   const auto& gates = c.gates();
   for (std::size_t gate_end = 0; gate_end <= gates.size(); ++gate_end) {
     StateVector sv(5);
-    const std::size_t next = apply_fused_prefix(sv, plan, gate_end);
+    const std::size_t next = advance_from_zero(sv, plan, gate_end);
     EXPECT_LE(next, gate_end);
     for (std::size_t i = next; i < gates.size(); ++i) sv.apply_gate(gates[i]);
     EXPECT_LT(sv.max_abs_diff(unfused), 1e-9) << "gate_end=" << gate_end;
   }
 }
 
-TEST(ApplyFusedPrefix, StraddlingOpIsSkippedEntirely) {
+TEST(AdvanceFused, StraddlingOpIsSkippedEntirely) {
   qir::Circuit c(2);
   c.h(0).t(0).sx(0);  // one same-qubit run: one op spanning gates [0, 3)
   c.barrier();        // gate index 3, dropped by the planner
@@ -490,34 +498,60 @@ TEST(ApplyFusedPrefix, StraddlingOpIsSkippedEntirely) {
   // A boundary inside the run: NO fused arithmetic may cross it, so the
   // whole op is skipped and the state is untouched.
   StateVector sv(2);
-  EXPECT_EQ(apply_fused_prefix(sv, plan, 2), 0u);
+  EXPECT_EQ(advance_from_zero(sv, plan, 2), 0u);
   EXPECT_EQ(sv.max_abs_diff(StateVector(2)), 0.0);
 
   // Boundary exactly after the run: the op applies, the x(1) op does not.
   StateVector after_run(2);
-  EXPECT_EQ(apply_fused_prefix(after_run, plan, 3), 3u);
+  EXPECT_EQ(advance_from_zero(after_run, plan, 3), 3u);
   StateVector run_only(2);
   run_only.apply_fused_op(plan.ops()[0]);
   EXPECT_EQ(after_run.max_abs_diff(run_only), 0.0);
 
   // Boundary on the barrier itself behaves like "after the run".
   StateVector on_barrier(2);
-  EXPECT_EQ(apply_fused_prefix(on_barrier, plan, 4), 3u);
+  EXPECT_EQ(advance_from_zero(on_barrier, plan, 4), 3u);
   EXPECT_EQ(on_barrier.max_abs_diff(run_only), 0.0);
 }
 
-TEST(ApplyFusedPrefix, FullPrefixIsBitIdenticalToApplyFused) {
+TEST(AdvanceFused, FullPrefixIsBitIdenticalToApplyFused) {
   Rng rng(83);
   qir::Circuit c = random_fusible(6, 50, rng);
   const auto plan = FusionPlan::build(c);
   StateVector whole(6);
   whole.apply_fused(plan);
-  // apply_fused may tile the traversal; the prefix path applies ops one by
-  // one. Tiling is bit-identical to per-op execution, so the outputs still
-  // match exactly.
+  // apply_fused may tile the traversal; the cursor applies ops one by one.
+  // Tiling is bit-identical to per-op execution, so the outputs still match
+  // exactly.
   StateVector prefix(6);
-  EXPECT_EQ(apply_fused_prefix(prefix, plan, c.gates().size()), c.gates().size());
+  EXPECT_EQ(advance_from_zero(prefix, plan, c.gates().size()), c.gates().size());
   EXPECT_EQ(prefix.max_abs_diff(whole), 0.0);
+}
+
+TEST(AdvanceFused, ResumedWalkIsBitIdenticalToOneCall) {
+  // The sampler walks one cursor forward through ascending (and repeated)
+  // boundaries; at every stop the register and the resume index must equal
+  // a single advance from |0...0> to that boundary, bit for bit.
+  Rng rng(97);
+  qir::Circuit c = random_fusible(5, 60, rng);
+  const auto plan = FusionPlan::build(c);
+  StateVector cursor(5);
+  std::size_t next_op = 0;
+  for (std::size_t gate_end : {std::size_t{0}, std::size_t{1}, std::size_t{1},
+                               std::size_t{7}, std::size_t{8}, std::size_t{23},
+                               std::size_t{41}, std::size_t{60}}) {
+    const std::size_t resumed = advance_fused(cursor, plan, next_op, gate_end);
+    StateVector fresh(5);
+    EXPECT_EQ(resumed, advance_from_zero(fresh, plan, gate_end))
+        << "gate_end=" << gate_end;
+    EXPECT_EQ(cursor.max_abs_diff(fresh), 0.0) << "gate_end=" << gate_end;
+  }
+  EXPECT_EQ(next_op, plan.ops().size());
+
+  // A boundary behind the cursor applies nothing.
+  StateVector before = cursor;
+  EXPECT_EQ(advance_fused(cursor, plan, next_op, 3), c.gates().size());
+  EXPECT_EQ(cursor.max_abs_diff(before), 0.0);
 }
 
 }  // namespace

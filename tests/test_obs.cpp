@@ -450,6 +450,48 @@ TEST(ObsService, CacheHitTraceSkipsPipelineStages) {
   EXPECT_EQ(names.count("lock.obfuscate"), 0u);
 }
 
+/// The trajectory attributes of a job's sim.sample spans, in trace order.
+std::vector<std::string> trajectory_attrs(const service::JobOutcome& outcome) {
+  std::vector<std::string> out;
+  for (const Span& span : outcome.trace.spans()) {
+    if (span.name != "sim.sample") continue;
+    std::string row;
+    for (const auto& [key, value] : span.attrs) {
+      if (key == "errored_shots" || key == "tail_gates") {
+        row += key + "=" + value + " ";
+      }
+    }
+    out.push_back(row);
+  }
+  return out;
+}
+
+TEST(ObsService, SampleSpansCarryThreadInvariantTrajectoryCounts) {
+  auto run = [](const sim::NoiseModel& noise, unsigned sample_threads) {
+    service::ServiceConfig cfg = obs_service_config();
+    cfg.num_threads = 4;
+    service::Service svc(cfg);
+    lock::FlowJob job = obs_job(400);
+    job.target.noise = noise;
+    job.config.sample_threads = sample_threads;
+    const auto outcome = svc.submit(job).wait();
+    EXPECT_EQ(outcome.state, service::JobState::kDone);
+    return trajectory_attrs(outcome);
+  };
+  const std::vector<std::string> ideal = run(sim::NoiseModel::ideal(), 4);
+  ASSERT_EQ(ideal.size(), 3u);
+  for (const std::string& row : ideal) {
+    EXPECT_EQ(row, "errored_shots=0 tail_gates=0 ");
+  }
+  sim::NoiseModel noisy;
+  noisy.p1 = 0.02;
+  noisy.p2 = 0.05;
+  const std::vector<std::string> serial = run(noisy, 1);
+  ASSERT_EQ(serial.size(), 3u);
+  EXPECT_EQ(serial, run(noisy, 4));
+  EXPECT_EQ(serial[0].find("errored_shots=0 "), std::string::npos);
+}
+
 TEST(ObsService, TracingLeavesJobDocumentBytesUntouched) {
   service::Service a(obs_service_config());
   service::Service other(obs_service_config());

@@ -6,7 +6,10 @@
 #include "qir/library.h"
 #include "revlib/benchmarks.h"
 #include "runtime/thread_pool.h"
+#include "sim/backend/statevector_backend.h"
+#include "sim/fusion.h"
 #include "sim/kernels/simd.h"
+#include "test_util.h"
 
 namespace tetris::sim {
 namespace {
@@ -405,6 +408,213 @@ TEST(SamplerGoldenPin, NoisyHistogramsMatchRecordedCounts) {
                   .histogram,
               kClifford)
         << "stabilizer, threads=" << threads;
+  }
+}
+
+TEST(SamplerGoldenPin, HighNoiseReversibleMatchesRecordedCounts) {
+  // p1 = p2 = 0.2: most shots are errored, first error sites tie, and errors
+  // land on the first and the last gate — the edges of a resumed
+  // trajectory. Recorded from the sampler that replayed every errored shot
+  // from |0...0>.
+  const std::map<std::string, std::size_t> k4mod5 = {
+      {"00000", 34}, {"00001", 120}, {"00010", 9},  {"00011", 11},
+      {"00100", 12}, {"00101", 22},  {"00110", 4},  {"00111", 4},
+      {"01000", 7},  {"01001", 19},  {"01010", 3},  {"01011", 6},
+      {"01100", 3},  {"01101", 4},   {"01110", 1},  {"10000", 27},
+      {"10001", 29}, {"10010", 9},   {"10011", 5},  {"10100", 12},
+      {"10101", 15}, {"10110", 2},   {"10111", 5},  {"11000", 7},
+      {"11001", 11}, {"11010", 2},   {"11011", 8},  {"11100", 2},
+      {"11101", 7}};
+  const std::map<std::string, std::size_t> kRd53 = {
+      {"000", 134}, {"001", 30}, {"010", 33}, {"011", 7},
+      {"100", 124}, {"101", 26}, {"110", 35}, {"111", 11}};
+  NoiseModel nm;
+  nm.p1 = 0.2;
+  nm.p2 = 0.2;
+  nm.readout = 0.03;
+  auto run = [&](const char* name, bool fuse, unsigned threads,
+                 std::vector<int> measured) {
+    runtime::ThreadPool pool(threads);
+    SampleOptions opts;
+    opts.shots = 400;
+    opts.threads = threads;
+    opts.pool = &pool;
+    opts.shots_per_chunk = 16;
+    opts.fuse = fuse;
+    opts.backend = BackendKind::kStateVector;
+    opts.measured = std::move(measured);
+    Rng rng(2025);
+    return sample(revlib::get_benchmark(name).circuit, nm, rng, opts).histogram;
+  };
+  for (unsigned threads : {1u, 4u}) {
+    for (bool fuse : {false, true}) {
+      EXPECT_EQ(run("4mod5", fuse, threads, {}), k4mod5)
+          << "fuse=" << fuse << " threads=" << threads;
+      EXPECT_EQ(run("rd53", fuse, threads, {0, 1, 6}), kRd53)
+          << "fuse=" << fuse << " threads=" << threads;
+    }
+  }
+}
+
+// ------------------------------------------- resume-at-first-site reference
+
+const char kPaulis[] = {'I', 'X', 'Y', 'Z'};
+
+/// The sampler as it was before errored shots resumed from the ideal
+/// prefix: serial, and every errored shot resets a trajectory register and
+/// replays from gate 0 (fused: the plan prefix through its first site, then
+/// gate by gate). Same draws in the same order per shot, so any correct
+/// resume must reproduce its counts bit for bit.
+Counts replay_from_zero(const qir::Circuit& circuit, const NoiseModel& noise,
+                        Rng& rng, const SampleOptions& options) {
+  const std::vector<int> measured =
+      resolve_measured(circuit.num_qubits(), options.measured);
+  Counts counts;
+  counts.shots = options.shots;
+  const std::uint64_t base_seed = rng.next_u64();
+  const auto& gates = circuit.gates();
+  const BackendKind kind = resolve_backend(options.backend, circuit);
+  std::unique_ptr<Backend> ideal = make_backend(kind, circuit.num_qubits());
+  FusionPlan plan;
+  const bool fused = kind == BackendKind::kStateVector && options.fuse;
+  if (fused) {
+    plan = FusionPlan::build(circuit);
+    static_cast<StateVectorBackend&>(*ideal).state().apply_fused(plan);
+  } else {
+    ideal->apply(circuit);
+  }
+  ideal->prepare();
+  std::unique_ptr<Backend> traj = make_backend(kind, circuit.num_qubits());
+  auto inject = [&](const std::vector<int>& qubits, Rng& shot_rng) {
+    std::size_t num_strings = 1;
+    for (std::size_t i = 0; i < qubits.size(); ++i) num_strings *= 4;
+    std::size_t code = 1 + shot_rng.index(num_strings - 1);
+    for (int q : qubits) {
+      traj->apply_pauli(kPaulis[code & 3], q);
+      code >>= 2;
+    }
+  };
+  for (std::size_t shot = 0; shot < options.shots; ++shot) {
+    Rng shot_rng = Rng::for_stream(base_seed, shot);
+    std::vector<std::size_t> sites;
+    for (std::size_t i = 0; i < gates.size(); ++i) {
+      if (gates[i].kind == qir::GateKind::Barrier) continue;
+      const double p = gates[i].num_qubits() >= 2 ? noise.p2 : noise.p1;
+      if (p > 0.0 && shot_rng.bernoulli(p)) sites.push_back(i);
+    }
+    std::size_t raw;
+    if (sites.empty()) {
+      raw = ideal->sample_index(shot_rng);
+    } else {
+      traj->reset();
+      std::size_t i = 0;
+      std::size_t next_err = 0;
+      if (fused) {
+        std::size_t next_op = 0;
+        i = advance_fused(static_cast<StateVectorBackend&>(*traj).state(),
+                          plan, next_op, sites[0] + 1);
+        for (; next_err < sites.size() && sites[next_err] < i; ++next_err) {
+          inject(gates[sites[next_err]].qubits, shot_rng);
+        }
+      }
+      for (; i < gates.size(); ++i) {
+        traj->apply_gate(gates[i]);
+        if (next_err < sites.size() && sites[next_err] == i) {
+          inject(gates[i].qubits, shot_rng);
+          ++next_err;
+        }
+      }
+      raw = traj->sample_index(shot_rng);
+    }
+    if (noise.readout > 0.0) {
+      for (int q : measured) {
+        if (shot_rng.bernoulli(noise.readout)) raw ^= std::size_t{1} << q;
+      }
+    }
+    ++counts.histogram[project_index(raw, measured)];
+  }
+  return counts;
+}
+
+TEST(SamplerResume, BitIdenticalToReplayFromZero) {
+  NoiseModel high;
+  high.p1 = 0.2;
+  high.p2 = 0.2;
+  high.readout = 0.02;
+  high.name = "high";
+  struct Engine {
+    const char* name;
+    BackendKind kind;
+    bool fuse;
+  };
+  const Engine engines[] = {{"unfused statevector", BackendKind::kStateVector, false},
+                            {"fused statevector", BackendKind::kStateVector, true},
+                            {"stabilizer", BackendKind::kStabilizer, false}};
+  for (const Engine& engine : engines) {
+    for (int seed = 1; seed <= 2; ++seed) {
+      Rng crng(static_cast<std::uint64_t>(100 * seed) + 7);
+      const int qubits = 4 + seed;
+      const qir::Circuit circuit =
+          engine.kind == BackendKind::kStabilizer
+              ? testutil::random_clifford(qubits, 30, crng)
+              : qir::library::random_universal(qubits, 30, crng);
+      for (const NoiseModel& noise : {NoiseModel::fake_valencia(), high}) {
+        SampleOptions opts;
+        opts.shots = 300;
+        opts.backend = engine.kind;
+        opts.fuse = engine.fuse;
+        Rng ref_rng(seed);
+        const Counts reference = replay_from_zero(circuit, noise, ref_rng, opts);
+        for (unsigned threads : {1u, 2u, 4u}) {
+          runtime::ThreadPool pool(threads);
+          for (std::size_t grain : {std::size_t{1}, std::size_t{7},
+                                    std::size_t{256}}) {
+            opts.threads = threads;
+            opts.pool = &pool;
+            opts.shots_per_chunk = grain;
+            Rng rng(seed);
+            EXPECT_EQ(sample(circuit, noise, rng, opts).histogram,
+                      reference.histogram)
+                << engine.name << " seed=" << seed << " noise=" << noise.name
+                << " threads=" << threads << " grain=" << grain;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SamplerStats, ErroredShotsAndTailGatesAreThreadInvariant) {
+  Rng crng(17);
+  const qir::Circuit circuit = qir::library::random_universal(6, 40, crng);
+  auto stats_at = [&](const NoiseModel& noise, unsigned threads, bool fuse) {
+    runtime::ThreadPool pool(threads);
+    SampleOptions opts;
+    opts.shots = 500;
+    opts.threads = threads;
+    opts.pool = &pool;
+    opts.shots_per_chunk = 16;
+    opts.fuse = fuse;
+    Rng rng(9);
+    SampleStats stats;
+    stats.errored_shots = 12345;  // overwritten, never accumulated into
+    sample(circuit, noise, rng, opts, &stats);
+    return stats;
+  };
+  for (bool fuse : {false, true}) {
+    const SampleStats ideal = stats_at(NoiseModel::ideal(), 4, fuse);
+    EXPECT_EQ(ideal.errored_shots, 0u);
+    EXPECT_EQ(ideal.tail_gates, 0u);
+    const SampleStats serial = stats_at(test_noise(), 1, fuse);
+    const SampleStats wide = stats_at(test_noise(), 4, fuse);
+    EXPECT_GT(serial.errored_shots, 0u);
+    EXPECT_LT(serial.errored_shots, 500u);
+    EXPECT_EQ(serial.errored_shots, wide.errored_shots) << "fuse=" << fuse;
+    EXPECT_EQ(serial.tail_gates, wide.tail_gates) << "fuse=" << fuse;
+    // A shot resumes after its first site at the latest (an error on the
+    // last gate leaves no tail) and at |0...0> at the earliest.
+    EXPECT_GT(serial.tail_gates, 0u);
+    EXPECT_LT(serial.tail_gates, serial.errored_shots * circuit.gates().size());
   }
 }
 

@@ -2,8 +2,10 @@
 
 // Shared helpers for the TetrisLock test-suite.
 
+#include <cstddef>
 #include <vector>
 
+#include "common/rng.h"
 #include "qir/circuit.h"
 
 namespace tetris::testutil {
@@ -48,6 +50,40 @@ inline qir::Circuit ghz_with_phases(int n) {
   for (int q = 0; q + 1 < n; ++q) c.cx(q, q + 1);
   c.t(0);
   if (n > 1) c.s(1);
+  return c;
+}
+
+/// Random Clifford circuit over the FIXED-matrix Clifford gates (H, S, Sdg,
+/// X, Y, Z, SX, SXdg, CX, CY, CZ, SWAP). Parametric quarter-turn gates are
+/// deliberately excluded here: their statevector matrices go through libm
+/// cos/sin, which is correct to <1 ulp but not guaranteed exactly on the
+/// Clifford grid — the exact shot-for-shot harness needs the grid.
+inline qir::Circuit random_clifford(int num_qubits, int num_gates,
+                                    Rng& rng) {
+  qir::Circuit c(num_qubits);
+  for (int i = 0; i < num_gates; ++i) {
+    const int a = static_cast<int>(rng.index(static_cast<std::size_t>(num_qubits)));
+    const int b = num_qubits < 2
+                      ? a
+                      : (a + 1 +
+                         static_cast<int>(rng.index(
+                             static_cast<std::size_t>(num_qubits - 1)))) %
+                            num_qubits;
+    switch (rng.index(12)) {
+      case 0: c.add(qir::make_h(a)); break;
+      case 1: c.add(qir::make_s(a)); break;
+      case 2: c.add(qir::make_sdg(a)); break;
+      case 3: c.add(qir::make_x(a)); break;
+      case 4: c.add(qir::make_y(a)); break;
+      case 5: c.add(qir::make_z(a)); break;
+      case 6: c.add(qir::make_sx(a)); break;
+      case 7: c.add(qir::make_sxdg(a)); break;
+      case 8: c.add(qir::make_cx(a, b)); break;
+      case 9: c.add(qir::make_cy(a, b)); break;
+      case 10: c.add(qir::make_cz(a, b)); break;
+      default: c.add(qir::make_swap(a, b)); break;
+    }
+  }
   return c;
 }
 
