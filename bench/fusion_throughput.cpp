@@ -144,6 +144,7 @@ void write_json(const std::string& path, const benchutil::Args& args,
   json::Writer w;
   w.begin_object();
   w.key("bench").value("fusion_throughput");
+  benchutil::write_host(w);
   w.key("gates_per_circuit").value(args.shots);
   w.key("iterations").value(args.iterations);
   w.key("seed").value(args.seed);

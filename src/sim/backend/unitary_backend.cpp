@@ -72,16 +72,8 @@ double DenseUnitaryBackend::probability(std::size_t index) const {
 }
 
 std::size_t DenseUnitaryBackend::sample_index(Rng& rng) const {
-  const std::vector<std::complex<double>> state = column0();
-  // The statevector's inverse-CDF scan, verbatim, so equal draws map to
-  // equal indices across the two dense engines.
-  const double r = rng.uniform();
-  double acc = 0.0;
-  for (std::size_t i = 0; i < state.size(); ++i) {
-    acc += std::norm(state[i]);
-    if (r < acc) return i;
-  }
-  return state.size() - 1;
+  if (prepared_) return sample_amplitudes(state_, rng);
+  return sample_amplitudes(column0(), rng);
 }
 
 std::map<std::string, double> DenseUnitaryBackend::distribution(

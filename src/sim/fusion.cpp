@@ -210,7 +210,7 @@ FusionPlan FusionPlan::build(const qir::Circuit& circuit,
       continue;
     }
 
-    // 3+-qubit gates (CCX, CSWAP, MCX): keep the specialised kernels.
+    // 3+-qubit gates (CCX, CSWAP, MCX): keep the permutation sweep.
     plan.stats_.gates_in += 1;
     emit_passthrough(i);
     ++i;
@@ -226,7 +226,7 @@ namespace {
 /// dispatch of apply_single_qubit / apply_two_qubit exactly) plus its
 /// precomputed matrices, lowered once and shared read-only by every tile.
 struct TileOp {
-  enum class K { kDiag, kSingle, kGang, kTwoDense, kTwoMono };
+  enum class K { kDiag, kSingle, kGang, kTwoDense, kTwoMono, kPerm };
   K k = K::kSingle;
   int q = 0, a = 0, b = 0;
   kernels::M2 m2{};
@@ -235,6 +235,7 @@ struct TileOp {
   int src[4] = {};        ///< kTwoMono permutation
   cplx coef[4];           ///< kTwoMono coefficients
   kernels::GangPlan gang;
+  kernels::PermPlan perm;  ///< kPerm sweep (permutation passthroughs)
 };
 
 /// True when `op` can run inside one 2^tile_qubits-amplitude tile: every
@@ -252,9 +253,9 @@ bool is_tile_local(const FusedOp& op, int tile_qubits) {
     case FusedOp::Kind::kTwoQubit:
       return op.a < tile_qubits && op.b < tile_qubits;
     case FusedOp::Kind::kGate:
-      // Lone 1q passthroughs lower to the same 2x2 sweep the unfused path
-      // runs; everything else (permutation / controlled kernels) keeps the
-      // whole-array specialisations.
+      // Lone 1q passthroughs lower to the same sweep the unfused path runs
+      // (the permutation sweep for X, the 2x2 sweep otherwise); multi-qubit
+      // passthroughs keep the whole-array kernels.
       return op.gate.kind != qir::GateKind::Barrier &&
              op.gate.qubits.size() == 1 && op.gate.qubits[0] < tile_qubits;
   }
@@ -267,6 +268,11 @@ TileOp lower_tile_op(const FusedOp& op) {
   switch (op.kind) {
     case FusedOp::Kind::kSingle:
     case FusedOp::Kind::kGate: {
+      if (op.kind == FusedOp::Kind::kGate &&
+          kernels::permutation_plan(op.gate, t.perm)) {
+        t.k = TileOp::K::kPerm;
+        return t;
+      }
       if (op.kind == FusedOp::Kind::kSingle) {
         std::memcpy(m, op.single.m, sizeof(m));
         t.q = op.single.qubit;
@@ -322,6 +328,9 @@ void apply_tile_op(cplx* region, std::size_t tile, const TileOp& t,
     case TileOp::K::kTwoMono:
       kernels::sweep_2q_monomial(mode, region, 0, tile >> 2, t.a, t.b, t.src,
                                  t.coef);
+      return;
+    case TileOp::K::kPerm:
+      kernels::sweep_perm(region, 0, tile >> t.perm.count, t.perm);
       return;
   }
 }

@@ -67,8 +67,8 @@ struct FusedOp {
 ///  (c) adjacent gates acting within one qubit pair — 2q gates in either
 ///      orientation plus interleaved 1q gates on the pair — into one 4x4.
 /// Multi-qubit gates (CCX, CSWAP, MCX) pass through unfused; a lone gate
-/// that nothing merges with also passes through, keeping the specialised
-/// permutation kernels on the fast path.
+/// that nothing merges with also passes through, so permutation gates keep
+/// the arithmetic-free permutation sweep.
 ///
 /// **Fences.** No fused op ever spans a Barrier gate or a
 /// FusionOptions::boundaries index — the non-unitary-event contract the

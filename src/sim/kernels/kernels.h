@@ -20,7 +20,9 @@ namespace tetris::sim::kernels {
 /// mode are bit-identical.
 ///
 /// The scalar kernels are verbatim copies of the historical StateVector
-/// loops — they are the byte-identity reference. The AVX2 kernels compute
+/// loops — they are the byte-identity reference. The permutation sweep is
+/// the exception to the two-flavour rule: it only moves amplitudes, so one
+/// portable kernel serves both modes. The AVX2 kernels compute
 /// each amplitude with a fixed per-element instruction sequence (packed
 /// complex multiply via FMA) that does not depend on where a chunk boundary
 /// falls, so parallel AVX2 sweeps are bit-identical to serial AVX2 sweeps;
@@ -97,6 +99,32 @@ void sweep_gang_scalar(cplx* amps, std::size_t outer_begin,
                        std::size_t outer_end, const GangPlan& g);
 void sweep_gang_avx2(cplx* amps, std::size_t outer_begin,
                      std::size_t outer_end, const GangPlan& g);
+
+/// Execution form of one permutation sweep: every index i whose fixed bits
+/// equal `set` exchanges its amplitude with index i ^ flip. `flip` lies
+/// inside the fixed bits, so each exchanged pair is visited exactly once.
+/// The permutation gates map onto it as
+///   X, CX, CCX, MCX   fixed = controls | t   set = controls   flip = t
+///   SWAP(a, b)        fixed = a | b          set = a          flip = a | b
+///   CSWAP(c; a, b)    fixed = c | a | b      set = c | a      flip = a | b
+struct PermPlan {
+  std::size_t fixed = 0;  ///< mask of the fixed-bit positions (non-empty)
+  std::size_t set = 0;
+  std::size_t flip = 0;
+  int count = 0;          ///< popcount(fixed): the sweep covers 2^(n-count)
+};
+
+/// Builds the sweep for `gate` when it is one of the permutation kinds
+/// above; returns false (leaving `out` unspecified) for every other kind.
+/// Qubits must be distinct — apply_gate validates them.
+bool permutation_plan(const qir::Gate& gate, PermPlan& out);
+
+// --- permutation sweep over subspace indices [k_begin, k_end) ---
+// k enumerates the 2^(n - count) indices with every fixed bit cleared; the
+// sweep only moves amplitudes, so one portable kernel serves both SIMD modes
+// and any chunking of k is bit-identical to one serial pass.
+void sweep_perm(cplx* amps, std::size_t k_begin, std::size_t k_end,
+                const PermPlan& p);
 
 // --- mode dispatchers ---
 inline void sweep_1q(SimdMode mode, cplx* amps, std::size_t k_begin,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/error.h"
 #include "runtime/thread_pool.h"
@@ -145,40 +146,6 @@ void StateVector::apply_controlled_single(const cplx m[2][2],
              });
 }
 
-void StateVector::apply_swap(int a, int b) {
-  const std::size_t bit_a = std::size_t{1} << a;
-  const std::size_t bit_b = std::size_t{1} << b;
-  cplx* amps = amps_.data();
-  // Only the index with bit_a set and bit_b clear initiates a swap, and its
-  // partner j never initiates one itself, so each {i, j} pair is touched by
-  // exactly one iteration — parallel chunks cannot collide.
-  run_kernel(use_parallel(), parallel_grain_, 1, amps_.size(),
-             [=](std::size_t begin, std::size_t end) {
-               for (std::size_t i = begin; i < end; ++i) {
-                 if ((i & bit_a) != 0 && (i & bit_b) == 0) {
-                   const std::size_t j = (i & ~bit_a) | bit_b;
-                   std::swap(amps[i], amps[j]);
-                 }
-               }
-             });
-}
-
-void StateVector::apply_controlled_swap(std::size_t control_mask, int a, int b) {
-  const std::size_t bit_a = std::size_t{1} << a;
-  const std::size_t bit_b = std::size_t{1} << b;
-  cplx* amps = amps_.data();
-  run_kernel(use_parallel(), parallel_grain_, 1, amps_.size(),
-             [=](std::size_t begin, std::size_t end) {
-               for (std::size_t i = begin; i < end; ++i) {
-                 if ((i & control_mask) != control_mask) continue;
-                 if ((i & bit_a) != 0 && (i & bit_b) == 0) {
-                   const std::size_t j = (i & ~bit_a) | bit_b;
-                   std::swap(amps[i], amps[j]);
-                 }
-               }
-             });
-}
-
 void StateVector::apply_matrix(const cplx m[2][2], int q) {
   TETRIS_REQUIRE(q >= 0 && q < num_qubits_, "apply_matrix: qubit out of range");
   apply_single_qubit(m, q);
@@ -252,34 +219,39 @@ void StateVector::apply_two_qubit(const cplx m[4][4], int a, int b) {
 
 void StateVector::apply_gate(const qir::Gate& gate) {
   using qir::GateKind;
+  // Circuit::add rejects repeated qubits, but a Gate built by hand can carry
+  // them; the permutation sweep's bit splice would then index out of range.
+  std::size_t seen = 0;
   for (int q : gate.qubits) {
     TETRIS_REQUIRE(q >= 0 && q < num_qubits_, "apply_gate: qubit out of range");
+    TETRIS_REQUIRE((seen >> q & 1) == 0, "apply_gate: gate '" + gate.name() +
+                                             "' repeats qubit " +
+                                             std::to_string(q));
+    seen |= std::size_t{1} << q;
+  }
+  if (gate.kind == GateKind::Barrier) return;
+  kernels::PermPlan perm;
+  if (kernels::permutation_plan(gate, perm)) {
+    cplx* amps = amps_.data();
+    // Each subspace index moves one pair; halve the grain to keep the
+    // per-chunk byte footprint of the 1q pair sweep.
+    run_kernel(use_parallel(), std::max<std::size_t>(1, parallel_grain_ >> 1),
+               1, amps_.size() >> perm.count,
+               [=](std::size_t k_begin, std::size_t k_end) {
+                 kernels::sweep_perm(amps, k_begin, k_end, perm);
+               });
+    return;
   }
   switch (gate.kind) {
-    case GateKind::Barrier:
-      return;
-    case GateKind::SWAP:
-      apply_swap(gate.qubits[0], gate.qubits[1]);
-      return;
-    case GateKind::CSWAP:
-      apply_controlled_swap(std::size_t{1} << gate.qubits[0], gate.qubits[1],
-                            gate.qubits[2]);
-      return;
-    case GateKind::CX:
     case GateKind::CY:
     case GateKind::CZ:
     case GateKind::CH:
     case GateKind::CP:
-    case GateKind::CRZ:
-    case GateKind::CCX:
-    case GateKind::MCX: {
+    case GateKind::CRZ: {
       // Controls are all qubits but the last; build the base single-qubit
       // matrix the controlled kind applies on its target.
       GateKind base;
       switch (gate.kind) {
-        case GateKind::CX:
-        case GateKind::CCX:
-        case GateKind::MCX: base = GateKind::X; break;
         case GateKind::CY:  base = GateKind::Y; break;
         case GateKind::CZ:  base = GateKind::Z; break;
         case GateKind::CH:  base = GateKind::H; break;
@@ -335,13 +307,22 @@ std::vector<double> StateVector::probabilities() const {
 }
 
 std::size_t StateVector::sample(Rng& rng) const {
-  double r = rng.uniform();
+  return sample_amplitudes(amps_, rng);
+}
+
+std::size_t sample_amplitudes(const std::vector<cplx>& amps, Rng& rng) {
+  const double r = rng.uniform();
   double acc = 0.0;
-  for (std::size_t i = 0; i < amps_.size(); ++i) {
-    acc += std::norm(amps_[i]);
+  for (std::size_t i = 0; i < amps.size(); ++i) {
+    acc += std::norm(amps[i]);
     if (r < acc) return i;
   }
-  return amps_.size() - 1;  // numerical tail
+  // Numerical tail: rounding left the total at or below r. Kept out of the
+  // scan above, which every shot's draw runs.
+  for (std::size_t i = amps.size(); i-- > 0;) {
+    if (std::norm(amps[i]) != 0.0) return i;
+  }
+  return amps.size() - 1;
 }
 
 cplx StateVector::inner(const StateVector& other) const {

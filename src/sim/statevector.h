@@ -24,9 +24,14 @@ struct SingleQubitOp {
 ///
 /// Holds 2^n complex amplitudes in little-endian qubit order: basis index
 /// `i` has qubit q in state bit `(i >> q) & 1`. All gate kinds of the IR are
-/// supported natively; controlled kinds are applied as a (control-mask,
-/// 2x2 target matrix) pair, and the permutation kinds (X family, SWAP) use
-/// specialised kernels.
+/// supported natively. The permutation kinds (X, CX, CCX, MCX, SWAP, CSWAP)
+/// run as one permutation sweep (kernels::sweep_perm) that visits only the
+/// control-satisfied subspace and exchanges amplitudes without arithmetic;
+/// the remaining controlled kinds are applied as a (control-mask, 2x2 target
+/// matrix) pair. The exchanged values are exactly what the arithmetic
+/// 0*a0 + 1*a1 produced except for the sign of zero amplitudes — invisible
+/// to every probability, draw and count, like the diagonal and monomial
+/// fast paths below.
 ///
 /// Gate kernels run multi-threaded on the global runtime::ThreadPool once
 /// the register reaches `parallel_threshold()` qubits; below that they use
@@ -35,7 +40,7 @@ struct SingleQubitOp {
 /// with no cross-element reductions), so parallel results are bit-identical
 /// to serial ones at any thread count.
 ///
-/// The sweeps themselves dispatch through the kernel layer
+/// The arithmetic sweeps dispatch through the kernel layer
 /// (sim/kernels/kernels.h) on `kernels::simd_mode()`: the scalar kernels
 /// reproduce the historical loops byte for byte; the AVX2 kernels are
 /// tolerance-equal to scalar (FMA reorders rounding) but uphold the same
@@ -172,8 +177,6 @@ class StateVector {
 
   void apply_single_qubit(const cplx m[2][2], int q);
   void apply_controlled_single(const cplx m[2][2], std::size_t control_mask, int q);
-  void apply_swap(int a, int b);
-  void apply_controlled_swap(std::size_t control_mask, int a, int b);
 
   /// Executes `count` consecutive tile-local fused ops tile by tile
   /// (defined in fusion.cpp, where FusedOp is complete).
@@ -185,6 +188,14 @@ class StateVector {
   int tile_qubits_ = kDefaultTileQubits;
   std::vector<cplx> amps_;
 };
+
+/// Draws one basis index from the distribution |amps[i]|^2 by an inverse-CDF
+/// scan, consuming exactly one uniform. When rounding leaves the draw at or
+/// past the accumulated total, returns the last index of non-zero
+/// probability — never a zero-probability one (size() - 1 only when every
+/// amplitude is zero). StateVector::sample and the dense-unitary engine share
+/// it, so equal draws map to equal indices across the two.
+std::size_t sample_amplitudes(const std::vector<cplx>& amps, Rng& rng);
 
 /// 2x2 matrix for a single-qubit kind (throws for multi-qubit kinds).
 void single_qubit_matrix(qir::GateKind kind, const std::vector<double>& params,

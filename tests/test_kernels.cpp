@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "common/error.h"
@@ -202,6 +205,228 @@ TEST(Kernels, MonomialDecompose) {
   EXPECT_FALSE(kernels::monomial_decompose(zero, src, coef));
 }
 
+// ------------------------------------------------ permutation sweep
+
+// The gate loops the permutation sweep replaced, kept as the reference:
+// CX/CCX/MCX ran the arithmetic controlled 2x2 (X as 0*a0 + 1*a1 on every
+// control-satisfied pair), X ran the dense 2x2 sweep, and SWAP/CSWAP scanned
+// every index for the one that initiates each exchange.
+
+void ref_controlled_single(std::vector<cplx>& amps, const cplx m[2][2],
+                           std::size_t control_mask, int q) {
+  const std::size_t stride = std::size_t{1} << q;
+  const cplx m00 = m[0][0], m01 = m[0][1], m10 = m[1][0], m11 = m[1][1];
+  for (std::size_t k = 0; k < amps.size() / 2; ++k) {
+    const std::size_t i0 = ((k >> q) << (q + 1)) | (k & (stride - 1));
+    if ((i0 & control_mask) != control_mask) continue;
+    const std::size_t i1 = i0 + stride;
+    const cplx a0 = amps[i0];
+    const cplx a1 = amps[i1];
+    amps[i0] = m00 * a0 + m01 * a1;
+    amps[i1] = m10 * a0 + m11 * a1;
+  }
+}
+
+void ref_swap(std::vector<cplx>& amps, int a, int b) {
+  const std::size_t bit_a = std::size_t{1} << a;
+  const std::size_t bit_b = std::size_t{1} << b;
+  for (std::size_t i = 0; i < amps.size(); ++i) {
+    if ((i & bit_a) != 0 && (i & bit_b) == 0) {
+      const std::size_t j = (i & ~bit_a) | bit_b;
+      std::swap(amps[i], amps[j]);
+    }
+  }
+}
+
+void ref_controlled_swap(std::vector<cplx>& amps, std::size_t control_mask,
+                         int a, int b) {
+  const std::size_t bit_a = std::size_t{1} << a;
+  const std::size_t bit_b = std::size_t{1} << b;
+  for (std::size_t i = 0; i < amps.size(); ++i) {
+    if ((i & control_mask) != control_mask) continue;
+    if ((i & bit_a) != 0 && (i & bit_b) == 0) {
+      const std::size_t j = (i & ~bit_a) | bit_b;
+      std::swap(amps[i], amps[j]);
+    }
+  }
+}
+
+/// The pre-sweep result of `g` on `sv` (a copy; `sv` is not modified).
+std::vector<cplx> reference_apply(const StateVector& sv, const qir::Gate& g) {
+  using qir::GateKind;
+  if (g.kind == GateKind::X) {
+    cplx x[2][2];
+    single_qubit_matrix(GateKind::X, {}, x);
+    StateVector dense = sv;
+    dense.set_parallel_threshold(sv.num_qubits() + 1);
+    dense.apply_matrix(x, g.qubits[0]);
+    return dense.amplitudes();
+  }
+  std::vector<cplx> amps = sv.amplitudes();
+  if (g.kind == GateKind::SWAP) {
+    ref_swap(amps, g.qubits[0], g.qubits[1]);
+  } else if (g.kind == GateKind::CSWAP) {
+    ref_controlled_swap(amps, std::size_t{1} << g.qubits[0], g.qubits[1],
+                        g.qubits[2]);
+  } else {
+    cplx x[2][2];
+    single_qubit_matrix(GateKind::X, {}, x);
+    std::size_t mask = 0;
+    for (std::size_t i = 0; i + 1 < g.qubits.size(); ++i) {
+      mask |= std::size_t{1} << g.qubits[i];
+    }
+    ref_controlled_single(amps, x, mask, g.qubits.back());
+  }
+  return amps;
+}
+
+/// A random normalized n-qubit state with no zero amplitude component:
+/// random RY/RZ on every wire, a CX chain, and a second random layer.
+StateVector random_state(int n, std::uint64_t seed) {
+  StateVector sv(n);
+  Rng rng(seed);
+  const auto layer = [&] {
+    for (int q = 0; q < n; ++q) {
+      sv.apply_gate(qir::make_ry(0.2 + 2.5 * rng.uniform(), q));
+      sv.apply_gate(qir::make_rz(0.2 + 2.5 * rng.uniform(), q));
+    }
+  };
+  layer();
+  for (int q = 0; q + 1 < n; ++q) sv.apply_gate(qir::make_cx(q, q + 1));
+  layer();
+  return sv;
+}
+
+/// Every permutation-gate placement on n wires: X on each wire, CX and SWAP
+/// on every ordered pair (controls below and above the target), CCX and
+/// CSWAP on every ordered triple, MCX with 3..n-1 controls around targets at
+/// the bottom, middle and top wire.
+std::vector<qir::Gate> permutation_placements(int n) {
+  std::vector<qir::Gate> out;
+  for (int t = 0; t < n; ++t) out.push_back(qir::make_x(t));
+  for (int a = 0; a < n; ++a) {
+    for (int b = 0; b < n; ++b) {
+      if (a == b) continue;
+      out.push_back(qir::make_cx(a, b));
+      out.push_back(qir::make_swap(a, b));
+      for (int c = 0; c < n; ++c) {
+        if (c == a || c == b) continue;
+        out.push_back(qir::make_ccx(a, b, c));
+        out.push_back(qir::make_cswap(a, b, c));
+      }
+    }
+  }
+  for (int k = 3; k <= n - 1; ++k) {
+    for (int t : {0, n / 2, n - 1}) {
+      std::vector<int> low, high;
+      for (int q = 0; q < n; ++q) {
+        if (q != t) low.push_back(q);
+      }
+      high.assign(low.end() - k, low.end());
+      low.resize(static_cast<std::size_t>(k));
+      out.push_back(qir::make_mcx(low, t));
+      if (high != low) out.push_back(qir::make_mcx(high, t));
+    }
+  }
+  return out;
+}
+
+/// Counts components that differ: by value, and — where non-zero — by bits.
+int count_mismatches(const std::vector<cplx>& got,
+                     const std::vector<cplx>& want) {
+  int bad = 0;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const double g[2] = {got[i].real(), got[i].imag()};
+    const double w[2] = {want[i].real(), want[i].imag()};
+    for (int part = 0; part < 2; ++part) {
+      if (g[part] != w[part]) {
+        ++bad;
+      } else if (w[part] != 0.0 &&
+                 std::memcmp(&g[part], &w[part], sizeof(double)) != 0) {
+        ++bad;
+      }
+    }
+  }
+  return bad;
+}
+
+// The permutation sweep is a pure data move, so it must reproduce the
+// replaced arithmetic loops exactly — bit for bit on every non-zero
+// component — at every width, placement, chunking and SIMD mode.
+TEST(PermutationSweep, MatchesReplacedLoopsBitwise) {
+  std::vector<SimdMode> modes = {SimdMode::kScalar};
+  if (kernels::avx2_available()) modes.push_back(SimdMode::kAvx2);
+  runtime::ThreadPool::set_global_threads(4);
+  for (SimdMode mode : modes) {
+    ModeGuard guard;
+    kernels::set_simd_mode(mode);
+    for (int n = 1; n <= 7; ++n) {
+      const StateVector input = random_state(n, 300 + static_cast<std::uint64_t>(n));
+      for (const cplx& a : input.amplitudes()) {
+        ASSERT_NE(a.real(), 0.0);
+        ASSERT_NE(a.imag(), 0.0);
+      }
+      for (const qir::Gate& g : permutation_placements(n)) {
+        const std::vector<cplx> want = reference_apply(input, g);
+        for (std::size_t grain : {std::size_t{0}, std::size_t{2}, std::size_t{4}}) {
+          StateVector sv = input;
+          if (grain == 0) {
+            sv.set_parallel_threshold(n + 1);  // serial
+          } else {
+            sv.set_parallel_threshold(0);  // forced multi-chunk parallel
+            sv.set_parallel_grain(grain);
+          }
+          sv.apply_gate(g);
+          EXPECT_EQ(count_mismatches(sv.amplitudes(), want), 0)
+              << kernels::simd_mode_name(mode) << " n=" << n << " "
+              << g.to_string() << " grain=" << grain;
+        }
+      }
+    }
+  }
+  runtime::ThreadPool::set_global_threads(0);
+}
+
+// Splitting the subspace range at any point, including inside a contiguous
+// run, reproduces the unsplit sweep — chunks never share a pair.
+TEST(PermutationSweep, AnySplitPointIsBitIdentical) {
+  const std::vector<qir::Gate> gates = {
+      qir::make_x(3), qir::make_cx(0, 4), qir::make_cx(4, 2),
+      qir::make_ccx(5, 3, 2), qir::make_swap(4, 1), qir::make_cswap(2, 5, 3),
+      qir::make_mcx({1, 3, 4}, 5)};
+  for (const qir::Gate& g : gates) {
+    kernels::PermPlan plan;
+    ASSERT_TRUE(kernels::permutation_plan(g, plan)) << g.to_string();
+    const std::size_t count = std::size_t{64} >> plan.count;
+    auto whole = random_amps(64, 19);
+    kernels::sweep_perm(whole.data(), 0, count, plan);
+    for (std::size_t cut = 1; cut < count; ++cut) {
+      auto split = random_amps(64, 19);
+      kernels::sweep_perm(split.data(), 0, cut, plan);
+      kernels::sweep_perm(split.data(), cut, count, plan);
+      EXPECT_EQ(std::memcmp(split.data(), whole.data(), 64 * sizeof(cplx)), 0)
+          << g.to_string() << " cut=" << cut;
+    }
+  }
+}
+
+TEST(PermutationSweep, PlanCoversExactlyThePermutationKinds) {
+  kernels::PermPlan plan;
+  ASSERT_TRUE(kernels::permutation_plan(qir::make_cswap(4, 0, 2), plan));
+  EXPECT_EQ(plan.count, 3);
+  EXPECT_EQ(plan.fixed, std::size_t{0b10101});
+  EXPECT_EQ(plan.set, std::size_t{0b10001});
+  EXPECT_EQ(plan.flip, std::size_t{0b00101});
+  ASSERT_TRUE(kernels::permutation_plan(qir::make_cx(3, 1), plan));
+  EXPECT_EQ(plan.set, std::size_t{0b1000});
+  EXPECT_EQ(plan.flip, std::size_t{0b0010});
+  for (const qir::Gate& g :
+       {qir::make_y(0), qir::make_h(0), qir::make_cz(0, 1), qir::make_cy(0, 1),
+        qir::make_cp(0.3, 0, 1), qir::make_rz(0.1, 0)}) {
+    EXPECT_FALSE(kernels::permutation_plan(g, plan)) << g.to_string();
+  }
+}
+
 // ------------------------------------------------------------ cache tiling
 
 // Tiling only reorders traversal, so tiled output is bit-identical to
@@ -224,6 +449,39 @@ TEST(Tiling, TiledMatchesUntiledBitwise) {
       EXPECT_EQ(tiled.max_abs_diff(untiled), 0.0)
           << kernels::simd_mode_name(mode) << " n=" << n;
     }
+  }
+}
+
+// A lone X passthrough inside a tiled run lowers to the same permutation
+// sweep apply_gate runs, so tiled and untiled agree bit for bit.
+TEST(Tiling, LoneXPassthroughRunsInsideTiles) {
+  std::vector<SimdMode> modes = {SimdMode::kScalar};
+  if (kernels::avx2_available()) modes.push_back(SimdMode::kAvx2);
+  for (SimdMode mode : modes) {
+    ModeGuard guard;
+    kernels::set_simd_mode(mode);
+    qir::Circuit c(7);
+    for (int q = 0; q < 7; ++q) c.h(q).rz(0.3 + 0.1 * q, q);
+    // cx(2,3) and x(1) stay lone passthroughs; x(1) and the (0,1) pair
+    // window form a tile-local run.
+    c.cx(2, 3).x(1).cx(0, 1).h(0).cx(6, 5).x(2).ccx(0, 1, 3);
+    const auto plan = FusionPlan::build(c);
+    const auto& ops = plan.ops();
+    const auto lone_x = std::find_if(ops.begin(), ops.end(), [](const FusedOp& op) {
+      return op.kind == FusedOp::Kind::kGate && op.gate.kind == qir::GateKind::X;
+    });
+    ASSERT_NE(lone_x, ops.end());
+    ASSERT_EQ(std::next(lone_x)->kind, FusedOp::Kind::kTwoQubit);
+    StateVector untiled(7);
+    untiled.set_tile_qubits(7);
+    untiled.apply_fused(plan);
+    StateVector tiled(7);
+    tiled.set_tile_qubits(4);
+    tiled.apply_fused(plan);
+    EXPECT_EQ(std::memcmp(tiled.amplitudes().data(), untiled.amplitudes().data(),
+                          untiled.dim() * sizeof(cplx)),
+              0)
+        << kernels::simd_mode_name(mode);
   }
 }
 

@@ -210,6 +210,44 @@ TEST(StateVector, SampleMatchesDistribution) {
   EXPECT_NEAR(static_cast<double>(ones) / shots, 0.5, 0.02);
 }
 
+// A sub-normalized register whose last index has zero probability: a draw
+// at or past the accumulated total (r >= 0.25 here, about 75% of draws) must
+// fall back to the last index with non-zero probability, not to index 1.
+TEST(StateVector, SampleTailNeverReturnsZeroProbabilityIndex) {
+  StateVector sv(1);
+  const cplx half[2][2] = {{0.5, 0.0}, {0.0, 0.5}};
+  sv.apply_matrix(half, 0);
+  ASSERT_EQ(sv.amplitudes()[0], cplx(0.5, 0.0));
+  ASSERT_EQ(std::norm(sv.amplitudes()[1]), 0.0);
+  Rng rng(23);
+  for (int i = 0; i < 2000; ++i) ASSERT_EQ(sv.sample(rng), 0u) << "draw " << i;
+}
+
+TEST(StateVector, SampleConsumesOneDrawPerShot) {
+  // The tail fallback must not change how many uniforms a draw consumes.
+  StateVector sv(2);
+  sv.apply_gate(qir::make_h(0));
+  Rng a(5), b(5);
+  for (int i = 0; i < 100; ++i) {
+    sv.sample(a);
+    b.uniform();
+  }
+  EXPECT_EQ(a.uniform(), b.uniform());
+}
+
+TEST(StateVector, ApplyGateRejectsRepeatedQubits) {
+  // Circuit::add rejects these, but a hand-built Gate can carry them.
+  StateVector sv(3);
+  for (int q = 0; q < 3; ++q) {
+    EXPECT_THROW(sv.apply_gate(qir::make_cx(q, q)), InvalidArgument) << q;
+  }
+  EXPECT_THROW(sv.apply_gate(qir::make_swap(1, 1)), InvalidArgument);
+  EXPECT_THROW(sv.apply_gate(qir::make_ccx(0, 2, 0)), InvalidArgument);
+  EXPECT_THROW(sv.apply_gate(qir::make_cswap(0, 1, 1)), InvalidArgument);
+  EXPECT_THROW(sv.apply_gate(qir::make_cz(2, 2)), InvalidArgument);
+  EXPECT_EQ(sv.amplitudes()[0], cplx(1.0, 0.0));  // untouched
+}
+
 TEST(StateVector, InnerAndFidelity) {
   StateVector a(1), b(1);
   a.apply_gate(qir::make_h(0));
