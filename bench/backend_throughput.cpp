@@ -99,11 +99,7 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 void write_json(const std::string& path, const benchutil::Args& args,
                 bool counts_ok, const std::vector<WidthPoint>& sweep) {
   json::Writer w;
-  w.begin_object();
-  w.key("bench").value("backend_throughput");
-  w.key("shots").value(args.shots);
-  w.key("iterations").value(args.iterations);
-  w.key("seed").value(args.seed);
+  benchutil::begin_result(w, "backend_throughput", args);
   w.key("counts_match_ok").value(counts_ok);
   w.key("results").begin_array();
   for (const WidthPoint& p : sweep) {

@@ -90,12 +90,8 @@ void write_json(const std::string& path, const benchutil::Args& args,
                 bool deterministic, double cache_hit_rate,
                 bool cache_identical) {
   json::Writer w;
-  w.begin_object();
-  w.key("bench").value("batch_throughput");
+  benchutil::begin_result(w, "batch_throughput", args);
   w.key("suite").value("revlib_table1");
-  w.key("iterations").value(args.iterations);
-  w.key("shots").value(args.shots);
-  w.key("seed").value(args.seed);
   w.key("jobs").value(job_count);
   w.key("deterministic_across_widths").value(deterministic);
   w.key("cache_hit_rate_second_pass").value(cache_hit_rate);

@@ -1,7 +1,7 @@
 #pragma once
 
 // Shared helpers for the benchmark harnesses: CLI parsing, fixed-width
-// table printing, and the host block of the JSON results. Kept header-only
+// table printing, and the common header of the JSON results. Kept header-only
 // so each bench stays a single file.
 
 #include <cstdint>
@@ -126,6 +126,20 @@ inline void write_host(json::Writer& w) {
   w.key("cpu").value(cpu);
   w.key("simd").value(sim::kernels::simd_mode_name(sim::kernels::simd_mode()));
   w.end_object();
+}
+
+/// Opens a result document's JSON object with the keys every bench shares:
+/// `"bench": name`, the host block (write_host), and the common knobs
+/// `iterations`, `shots` and `seed`. The caller adds its own keys and
+/// closes the object.
+inline void begin_result(json::Writer& w, const std::string& name,
+                         const Args& args) {
+  w.begin_object();
+  w.key("bench").value(name);
+  write_host(w);
+  w.key("iterations").value(args.iterations);
+  w.key("shots").value(args.shots);
+  w.key("seed").value(args.seed);
 }
 
 /// ASCII bar for the Fig.4-style chart: value in [0,1] mapped to `width`.

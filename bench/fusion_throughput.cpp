@@ -142,14 +142,9 @@ void write_json(const std::string& path, const benchutil::Args& args,
                 bool avx2, double stream_gbps,
                 const std::vector<WidthPoint>& sweep) {
   json::Writer w;
-  w.begin_object();
-  w.key("bench").value("fusion_throughput");
-  benchutil::write_host(w);
-  w.key("gates_per_circuit").value(args.shots);
-  w.key("iterations").value(args.iterations);
-  w.key("seed").value(args.seed);
+  benchutil::begin_result(w, "fusion_throughput", args);
+  w.key("gates_per_circuit").value(args.shots);  // --shots sets it
   w.key("pool_threads").value(pool_threads);
-  w.key("simd_mode").value(avx2 ? "avx2" : "scalar");
   w.key("stream_gbps").value(stream_gbps);
   w.key("tolerance").value(tolerance);
   w.key("tolerance_ok").value(tolerance_ok);

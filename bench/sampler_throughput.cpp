@@ -92,15 +92,10 @@ void write_json(const std::string& path, const benchutil::Args& args,
                 const std::vector<SweepPoint>& sweep, const NoiseSplit& split,
                 bool deterministic) {
   json::Writer w;
-  w.begin_object();
-  w.key("bench").value("sampler_throughput");
-  benchutil::write_host(w);
+  benchutil::begin_result(w, "sampler_throughput", args);
   w.key("circuit").value(circuit);
   w.key("compiled_gates").value(gates);
   w.key("qubits").value(qubits);
-  w.key("iterations").value(args.iterations);
-  w.key("shots").value(args.shots);
-  w.key("seed").value(args.seed);
   w.key("deterministic_across_widths_and_grains").value(deterministic);
   w.key("results").begin_array();
   for (const SweepPoint& point : sweep) {

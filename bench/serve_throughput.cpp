@@ -279,9 +279,8 @@ int main(int argc, char** argv) {
 
   if (!args.out.empty()) {
     json::Writer w;
-    w.begin_object();
-    w.key("schema").value("tetrislock.bench_serve.v3");
-    w.key("benchmark").value("serve_throughput");
+    benchutil::begin_result(w, "serve_throughput", args);
+    w.key("schema").value("tetrislock.bench_serve.v4");
     w.key("requests_per_connection").value(args.iterations);
     w.key("connection_workers").value(ncfg.connection_threads);  // 0 = inline
     w.key("keepalive_speedup").begin_object();

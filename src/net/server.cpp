@@ -253,18 +253,7 @@ std::string Server::base_url() const {
   return "http://" + config_.host + ":" + std::to_string(port());
 }
 
-ServerCounters Server::counters() const {
-  const ReactorCounters rc = reactor_->counters();
-  ServerCounters out;
-  out.connections = rc.connections;
-  out.requests = rc.requests;
-  out.responses_2xx = rc.responses_2xx;
-  out.responses_4xx = rc.responses_4xx;
-  out.responses_5xx = rc.responses_5xx;
-  out.keepalive_reuses = rc.keepalive_reuses;
-  out.idle_evictions = rc.idle_evictions;
-  return out;
-}
+ReactorCounters Server::counters() const { return reactor_->counters(); }
 
 http::Response Server::handle(const http::Request& request) {
   // route() assigns the normalized route key before invoking the handler, so
@@ -542,7 +531,7 @@ http::Response Server::handle_job_delete(std::uint64_t id) {
 
 http::Response Server::handle_status() {
   const service::CacheStats cache = service_.cache_stats();
-  const ServerCounters server = counters();
+  const ReactorCounters server = counters();
   runtime::ThreadPool& pool = connection_pool();
 
   json::Writer w;

@@ -49,17 +49,6 @@ struct ServerConfig {
   bool telemetry = true;
 };
 
-/// Monotonic traffic counters, readable while serving (GET /v1/status).
-struct ServerCounters {
-  std::uint64_t connections = 0;  ///< accepted sockets
-  std::uint64_t requests = 0;     ///< complete requests routed to a handler
-  std::uint64_t responses_2xx = 0;
-  std::uint64_t responses_4xx = 0;
-  std::uint64_t responses_5xx = 0;
-  std::uint64_t keepalive_reuses = 0;  ///< requests beyond a conn's first
-  std::uint64_t idle_evictions = 0;    ///< connections dropped by timeout
-};
-
 /// Embedded REST front-end over a service::Service.
 ///
 /// Endpoints (all request/response bodies are JSON):
@@ -147,7 +136,8 @@ class Server {
   int port() const;
   std::string base_url() const;
   const ServerConfig& config() const { return config_; }
-  ServerCounters counters() const;
+  /// Monotonic traffic counters, readable while serving (GET /v1/status).
+  ReactorCounters counters() const;
 
   /// Routes one parsed request to a response — the pure core of the server,
   /// also exercised directly by unit tests (no sockets involved).

@@ -13,31 +13,8 @@ Circuit::Circuit(int num_qubits, std::string name)
   TETRIS_REQUIRE(num_qubits >= 0, "Circuit requires num_qubits >= 0");
 }
 
-void Circuit::validate(const Gate& g) const {
-  int arity = gate_arity(g.kind);
-  if (arity >= 0) {
-    TETRIS_REQUIRE(g.num_qubits() == arity,
-                   "gate '" + g.name() + "' expects " + std::to_string(arity) +
-                       " qubits, got " + std::to_string(g.num_qubits()));
-  } else if (g.kind == GateKind::MCX) {
-    TETRIS_REQUIRE(g.num_qubits() >= 4, "mcx requires >= 3 controls + target");
-  }
-  int pc = gate_param_count(g.kind);
-  TETRIS_REQUIRE(static_cast<int>(g.params.size()) == pc,
-                 "gate '" + g.name() + "' expects " + std::to_string(pc) +
-                     " params, got " + std::to_string(g.params.size()));
-  std::set<int> seen;
-  for (int q : g.qubits) {
-    TETRIS_REQUIRE(q >= 0 && q < num_qubits_,
-                   "qubit index " + std::to_string(q) + " out of range for " +
-                       std::to_string(num_qubits_) + "-qubit circuit");
-    TETRIS_REQUIRE(seen.insert(q).second,
-                   "gate '" + g.name() + "' repeats qubit " + std::to_string(q));
-  }
-}
-
 Circuit& Circuit::add(Gate g) {
-  validate(g);
+  validate_gate(g, num_qubits_);
   gates_.push_back(std::move(g));
   return *this;
 }

@@ -136,8 +136,6 @@ class Circuit {
   std::string to_string() const;
 
  private:
-  void validate(const Gate& g) const;
-
   int num_qubits_ = 0;
   std::string name_;
   std::vector<Gate> gates_;

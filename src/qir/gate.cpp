@@ -44,6 +44,31 @@ std::string gate_kind_name(GateKind kind) { return info(kind).name; }
 
 bool is_single_qubit_kind(GateKind kind) { return info(kind).arity == 1; }
 
+void validate_gate(const Gate& g, int num_qubits) {
+  const KindInfo& k = info(g.kind);
+  if (k.arity >= 0) {
+    TETRIS_REQUIRE(g.num_qubits() == k.arity,
+                   "gate '" + g.name() + "' expects " + std::to_string(k.arity) +
+                       " qubits, got " + std::to_string(g.num_qubits()));
+  } else if (g.kind == GateKind::MCX) {
+    TETRIS_REQUIRE(g.num_qubits() >= 4, "mcx requires >= 3 controls + target");
+  }
+  TETRIS_REQUIRE(static_cast<int>(g.params.size()) == k.param_count,
+                 "gate '" + g.name() + "' expects " +
+                     std::to_string(k.param_count) + " params, got " +
+                     std::to_string(g.params.size()));
+  for (std::size_t i = 0; i < g.qubits.size(); ++i) {
+    const int q = g.qubits[i];
+    TETRIS_REQUIRE(q >= 0 && q < num_qubits,
+                   "qubit index " + std::to_string(q) + " out of range for " +
+                       std::to_string(num_qubits) + "-qubit circuit");
+    for (std::size_t j = 0; j < i; ++j) {
+      TETRIS_REQUIRE(g.qubits[j] != q,
+                     "gate '" + g.name() + "' repeats qubit " + std::to_string(q));
+    }
+  }
+}
+
 GateKind gate_kind_from_name(const std::string& name) {
   static const std::unordered_map<std::string, GateKind> table = [] {
     std::unordered_map<std::string, GateKind> t;

@@ -105,6 +105,13 @@ int gate_param_count(GateKind kind);
 /// True if the kind is one of the single-qubit kinds.
 bool is_single_qubit_kind(GateKind kind);
 
+/// Checks `g` against a `num_qubits`-wide register: the kind's arity (MCX
+/// needs >= 3 controls + target), its parameter count, and every qubit in
+/// range and distinct. Throws InvalidArgument naming the first violation and
+/// allocates nothing when `g` passes. Circuit::add and
+/// sim::StateVector::apply_gate both run it.
+void validate_gate(const Gate& g, int num_qubits);
+
 /// True if `theta` is an integer multiple of pi/2 within `atol`; when it is,
 /// `*turns` (if non-null) receives that multiple reduced mod 4, in [0, 3].
 /// This is the angle test behind Gate::is_clifford, shared with the

@@ -4,8 +4,6 @@
 #include <cstring>
 
 #include "common/error.h"
-#include "runtime/thread_pool.h"
-#include "sim/kernels/kernels.h"
 
 namespace tetris::sim {
 
@@ -96,6 +94,7 @@ FusionPlan FusionPlan::build(const qir::Circuit& circuit,
     op.first_gate = index;
     op.gate_count = 1;
     op.gate = gates[index];
+    op.sweep = kernels::lower(op.gate);
     plan.ops_.push_back(std::move(op));
   };
 
@@ -162,9 +161,10 @@ FusionPlan FusionPlan::build(const qir::Circuit& circuit,
         op.gate_count = count;
         if (gang.size() == 1) {
           op.kind = FusedOp::Kind::kSingle;
-          op.single = gang[0];
+          op.sweep = kernels::lower(gang[0].m, gang[0].qubit);
         } else {
           op.kind = FusedOp::Kind::kGang;
+          op.sweep = kernels::lower(gang.data(), gang.size());
           op.gang = std::move(gang);
         }
         plan.stats_.gates_fused += count;
@@ -189,20 +189,20 @@ FusionPlan FusionPlan::build(const qir::Circuit& circuit,
       if (count == 1) {
         emit_passthrough(i);
       } else {
-        FusedOp op;
-        op.kind = FusedOp::Kind::kTwoQubit;
-        op.first_gate = i;
-        op.gate_count = count;
-        op.a = a;
-        op.b = b;
-        two_qubit_matrix(gates[i], a, b, op.two);
+        cplx two[4][4];
+        two_qubit_matrix(gates[i], a, b, two);
         for (std::size_t t = i + 1; t < j; ++t) {
           cplx gm[4][4];
           two_qubit_matrix(gates[t], a, b, gm);
           cplx product[4][4];
-          multiply4(gm, op.two, product);
-          std::memcpy(op.two, product, sizeof(product));
+          multiply4(gm, two, product);
+          std::memcpy(two, product, sizeof(product));
         }
+        FusedOp op;
+        op.kind = FusedOp::Kind::kTwoQubit;
+        op.first_gate = i;
+        op.gate_count = count;
+        op.sweep = kernels::lower(two, a, b);
         plan.stats_.gates_fused += count;
         plan.ops_.push_back(std::move(op));
       }
@@ -217,193 +217,6 @@ FusionPlan FusionPlan::build(const qir::Circuit& circuit,
   }
   plan.stats_.ops_out = plan.ops_.size();
   return plan;
-}
-
-namespace {
-
-/// Execution form of one tile-local fused op: the kernel choice (diagonal /
-/// monomial fast paths included, so tiled dispatch matches the whole-array
-/// dispatch of apply_single_qubit / apply_two_qubit exactly) plus its
-/// precomputed matrices, lowered once and shared read-only by every tile.
-struct TileOp {
-  enum class K { kDiag, kSingle, kGang, kTwoDense, kTwoMono, kPerm };
-  K k = K::kSingle;
-  int q = 0, a = 0, b = 0;
-  kernels::M2 m2{};
-  cplx d00, d11;          ///< kDiag coefficients
-  kernels::M4 m4{};
-  int src[4] = {};        ///< kTwoMono permutation
-  cplx coef[4];           ///< kTwoMono coefficients
-  kernels::GangPlan gang;
-  kernels::PermPlan perm;  ///< kPerm sweep (permutation passthroughs)
-};
-
-/// True when `op` can run inside one 2^tile_qubits-amplitude tile: every
-/// qubit it touches lies below the tile width, so its pair/quad/block index
-/// arithmetic never reaches outside the tile.
-bool is_tile_local(const FusedOp& op, int tile_qubits) {
-  switch (op.kind) {
-    case FusedOp::Kind::kSingle:
-      return op.single.qubit < tile_qubits;
-    case FusedOp::Kind::kGang:
-      for (const SingleQubitOp& g : op.gang) {
-        if (g.qubit >= tile_qubits) return false;
-      }
-      return true;
-    case FusedOp::Kind::kTwoQubit:
-      return op.a < tile_qubits && op.b < tile_qubits;
-    case FusedOp::Kind::kGate:
-      // Lone 1q passthroughs lower to the same sweep the unfused path runs
-      // (the permutation sweep for X, the 2x2 sweep otherwise); multi-qubit
-      // passthroughs keep the whole-array kernels.
-      return op.gate.kind != qir::GateKind::Barrier &&
-             op.gate.qubits.size() == 1 && op.gate.qubits[0] < tile_qubits;
-  }
-  return false;
-}
-
-TileOp lower_tile_op(const FusedOp& op) {
-  TileOp t;
-  cplx m[2][2];
-  switch (op.kind) {
-    case FusedOp::Kind::kSingle:
-    case FusedOp::Kind::kGate: {
-      if (op.kind == FusedOp::Kind::kGate &&
-          kernels::permutation_plan(op.gate, t.perm)) {
-        t.k = TileOp::K::kPerm;
-        return t;
-      }
-      if (op.kind == FusedOp::Kind::kSingle) {
-        std::memcpy(m, op.single.m, sizeof(m));
-        t.q = op.single.qubit;
-      } else {
-        single_qubit_matrix(op.gate.kind, op.gate.params, m);
-        t.q = op.gate.qubits[0];
-      }
-      if (m[0][1] == cplx(0.0, 0.0) && m[1][0] == cplx(0.0, 0.0)) {
-        t.k = TileOp::K::kDiag;
-        t.d00 = m[0][0];
-        t.d11 = m[1][1];
-      } else {
-        t.k = TileOp::K::kSingle;
-        t.m2 = kernels::M2{m[0][0], m[0][1], m[1][0], m[1][1]};
-      }
-      return t;
-    }
-    case FusedOp::Kind::kGang:
-      t.k = TileOp::K::kGang;
-      t.gang = kernels::make_gang_plan(op.gang.data(), op.gang.size());
-      return t;
-    case FusedOp::Kind::kTwoQubit: {
-      t.a = op.a;
-      t.b = op.b;
-      for (int r = 0; r < 4; ++r) {
-        for (int c = 0; c < 4; ++c) t.m4.v[r * 4 + c] = op.two[r][c];
-      }
-      t.k = kernels::monomial_decompose(t.m4, t.src, t.coef)
-                ? TileOp::K::kTwoMono
-                : TileOp::K::kTwoDense;
-      return t;
-    }
-  }
-  return t;
-}
-
-/// Runs one lowered op over a tile's full local index range.
-void apply_tile_op(cplx* region, std::size_t tile, const TileOp& t,
-                   kernels::SimdMode mode) {
-  switch (t.k) {
-    case TileOp::K::kDiag:
-      kernels::sweep_diag(mode, region, 0, tile, t.q, t.d00, t.d11);
-      return;
-    case TileOp::K::kSingle:
-      kernels::sweep_1q(mode, region, 0, tile >> 1, t.q, t.m2);
-      return;
-    case TileOp::K::kGang:
-      kernels::sweep_gang(mode, region, 0, tile >> t.gang.count, t.gang);
-      return;
-    case TileOp::K::kTwoDense:
-      kernels::sweep_2q(mode, region, 0, tile >> 2, t.a, t.b, t.m4);
-      return;
-    case TileOp::K::kTwoMono:
-      kernels::sweep_2q_monomial(mode, region, 0, tile >> 2, t.a, t.b, t.src,
-                                 t.coef);
-      return;
-    case TileOp::K::kPerm:
-      kernels::sweep_perm(region, 0, tile >> t.perm.count, t.perm);
-      return;
-  }
-}
-
-}  // namespace
-
-void StateVector::apply_tiled_run(const FusedOp* ops, std::size_t count) {
-  const int tq = tile_qubits_;
-  const std::size_t tile = std::size_t{1} << tq;
-  const std::size_t num_tiles = amps_.size() >> tq;
-  std::vector<TileOp> lowered(count);
-  for (std::size_t i = 0; i < count; ++i) lowered[i] = lower_tile_op(ops[i]);
-  const kernels::SimdMode mode = kernels::simd_mode();
-  cplx* amps = amps_.data();
-  const TileOp* tops = lowered.data();
-  // Each tile applies the run's ops in order before moving on. Ops are
-  // tile-local, so tile t's amplitudes see exactly the operation sequence of
-  // the whole-array sweeps — tiling reorders traversal, not arithmetic —
-  // and tiles are disjoint, so parallel chunks of tiles stay bit-identical.
-  const auto kernel = [=](std::size_t t_begin, std::size_t t_end) {
-    for (std::size_t t = t_begin; t < t_end; ++t) {
-      cplx* region = amps + (t << tq);
-      for (std::size_t i = 0; i < count; ++i) {
-        apply_tile_op(region, tile, tops[i], mode);
-      }
-    }
-  };
-  if (use_parallel()) {
-    const std::size_t grain = std::max<std::size_t>(1, parallel_grain_ >> tq);
-    runtime::parallel_for(0, num_tiles, kernel, {grain, nullptr});
-  } else {
-    kernel(0, num_tiles);
-  }
-}
-
-void StateVector::apply_fused_op(const FusedOp& op) {
-  switch (op.kind) {
-    case FusedOp::Kind::kGate:
-      apply_gate(op.gate);
-      break;
-    case FusedOp::Kind::kSingle:
-      apply_matrix(op.single.m, op.single.qubit);
-      break;
-    case FusedOp::Kind::kGang:
-      apply_gang(op.gang);
-      break;
-    case FusedOp::Kind::kTwoQubit:
-      apply_two_qubit(op.two, op.a, op.b);
-      break;
-  }
-}
-
-void StateVector::apply_fused(const FusionPlan& plan) {
-  TETRIS_REQUIRE(plan.num_qubits() <= num_qubits_,
-                 "apply_fused: plan wider than register");
-  const auto& ops = plan.ops();
-  // Cache blocking pays once the register outgrows a tile; a run needs at
-  // least two tile-local ops before the reordered traversal saves a pass.
-  const bool tiling = num_qubits_ > tile_qubits_ && tile_qubits_ >= 2;
-  std::size_t i = 0;
-  while (i < ops.size()) {
-    if (tiling && is_tile_local(ops[i], tile_qubits_)) {
-      std::size_t j = i + 1;
-      while (j < ops.size() && is_tile_local(ops[j], tile_qubits_)) ++j;
-      if (j - i >= 2) {
-        apply_tiled_run(ops.data() + i, j - i);
-        i = j;
-        continue;
-      }
-    }
-    apply_fused_op(ops[i]);
-    ++i;
-  }
 }
 
 std::size_t advance_fused(StateVector& sv, const FusionPlan& plan,

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "qir/circuit.h"
+#include "sim/kernels/kernels.h"
 #include "sim/statevector.h"
 
 namespace tetris::sim {
@@ -35,26 +36,27 @@ struct FusionStats {
   double sweep_reduction() const;
 };
 
-/// One executable unit of a FusionPlan — exactly one amplitude sweep.
+/// One executable unit of a FusionPlan — exactly one amplitude sweep,
+/// lowered once when the plan is built.
 ///
 /// `first_gate` / `gate_count` tie the op back to the source gate stream
 /// (barriers included in the indexing), which is what the boundary tests and
-/// the stats assert on.
+/// the stats assert on. `sweep` is what every execution path runs: whole
+/// register (apply_fused_op, advance_fused) and cache tile (apply_fused)
+/// alike.
 struct FusedOp {
   enum class Kind {
-    kGate,      ///< passthrough: apply `gate` via StateVector::apply_gate
+    kGate,      ///< passthrough: `gate`'s own sweep, as apply_gate runs it
     kSingle,    ///< one 2x2: a same-qubit run multiplied into one matrix
     kGang,      ///< several 2x2s on distinct qubits, one gathered sweep
-    kTwoQubit,  ///< one 4x4 on the wire pair (a, b)
+    kTwoQubit,  ///< one 4x4 on a wire pair
   };
   Kind kind = Kind::kGate;
   std::size_t first_gate = 0;  ///< index of the first source gate
   std::size_t gate_count = 1;  ///< source gates folded into this op
-  qir::Gate gate;              ///< kGate payload
-  SingleQubitOp single;        ///< kSingle payload
-  std::vector<SingleQubitOp> gang;  ///< kGang payload, stream order
-  cplx two[4][4] = {};         ///< kTwoQubit payload (apply_two_qubit basis)
-  int a = 0, b = 0;            ///< kTwoQubit wires
+  qir::Gate gate;              ///< kGate: the source gate
+  std::vector<SingleQubitOp> gang;  ///< kGang: the 2x2s, stream order
+  kernels::SweepOp sweep;      ///< the lowered sweep
 };
 
 /// A fused compilation of a gate stream: the same unitary as the source
@@ -67,8 +69,9 @@ struct FusedOp {
 ///  (c) adjacent gates acting within one qubit pair — 2q gates in either
 ///      orientation plus interleaved 1q gates on the pair — into one 4x4.
 /// Multi-qubit gates (CCX, CSWAP, MCX) pass through unfused; a lone gate
-/// that nothing merges with also passes through, so permutation gates keep
-/// the arithmetic-free permutation sweep.
+/// that nothing merges with also passes through and keeps the sweep
+/// apply_gate would run (the arithmetic-free permutation sweep for the
+/// permutation kinds).
 ///
 /// **Fences.** No fused op ever spans a Barrier gate or a
 /// FusionOptions::boundaries index — the non-unitary-event contract the

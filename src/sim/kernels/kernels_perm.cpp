@@ -99,4 +99,21 @@ void sweep_perm(cplx* amps, std::size_t k_begin, std::size_t k_end,
   }
 }
 
+void sweep_controlled(cplx* amps, std::size_t k_begin, std::size_t k_end,
+                      const ControlledOp& c) {
+  const int q = c.q;
+  const std::size_t stride = bit(q);
+  const std::size_t control_mask = c.controls;
+  const cplx m00 = c.m.m00, m01 = c.m.m01, m10 = c.m.m10, m11 = c.m.m11;
+  for (std::size_t k = k_begin; k < k_end; ++k) {
+    const std::size_t i0 = ((k >> q) << (q + 1)) | (k & (stride - 1));
+    if ((i0 & control_mask) != control_mask) continue;
+    const std::size_t i1 = i0 + stride;
+    const cplx a0 = amps[i0];
+    const cplx a1 = amps[i1];
+    amps[i0] = m00 * a0 + m01 * a1;
+    amps[i1] = m10 * a0 + m11 * a1;
+  }
+}
+
 }  // namespace tetris::sim::kernels

@@ -8,33 +8,6 @@ namespace tetris::sim::kernels {
 // bodies are verbatim the historical StateVector gate loops, so a scalar
 // build reproduces pre-kernel-layer amplitudes bit for bit.
 
-GangPlan make_gang_plan(const SingleQubitOp* ops, std::size_t count) {
-  GangPlan g;
-  g.count = static_cast<int>(count);
-  const int k = g.count;
-  // Ascending qubit list for the zero-splice index arithmetic; the ops keep
-  // their own (stream) order, which is the order the matrices are applied in.
-  for (int j = 0; j < k; ++j) g.sorted[j] = ops[static_cast<std::size_t>(j)].qubit;
-  std::sort(g.sorted, g.sorted + k);
-  g.block = std::size_t{1} << k;
-  // offsets[l]: global offset of local index l relative to a block's base
-  // (local bit p maps to wire sorted[p]).
-  for (std::size_t l = 0; l < g.block; ++l) {
-    std::size_t off = 0;
-    for (int p = 0; p < k; ++p) {
-      if ((l >> p) & 1) off |= std::size_t{1} << g.sorted[p];
-    }
-    g.offsets[l] = off;
-  }
-  for (int j = 0; j < k; ++j) {
-    const SingleQubitOp& op = ops[static_cast<std::size_t>(j)];
-    g.local_pos[j] = static_cast<int>(
-        std::lower_bound(g.sorted, g.sorted + k, op.qubit) - g.sorted);
-    g.m[j] = M2{op.m[0][0], op.m[0][1], op.m[1][0], op.m[1][1]};
-  }
-  return g;
-}
-
 bool monomial_decompose(const M4& m, int src[4], cplx coef[4]) {
   for (int r = 0; r < 4; ++r) {
     int nonzeros = 0;

@@ -6,6 +6,7 @@
 
 #include "common/error.h"
 #include "runtime/thread_pool.h"
+#include "sim/fusion.h"
 #include "sim/kernels/kernels.h"
 
 namespace tetris::sim {
@@ -21,7 +22,7 @@ const cplx kI(0.0, 1.0);
 /// complex amplitudes per register) — a partitioning nicety, never a
 /// correctness requirement.
 template <typename Kernel>
-void run_kernel(bool parallel, std::size_t grain, std::size_t align,
+void run_chunks(bool parallel, std::size_t grain, std::size_t align,
                 std::size_t count, const Kernel& kernel) {
   if (parallel) {
     runtime::parallel_for(0, count, kernel, {grain, nullptr, align});
@@ -100,179 +101,105 @@ void StateVector::set_basis_state(std::size_t index) {
   amps_[index] = 1.0;
 }
 
-void StateVector::apply_single_qubit(const cplx m[2][2], int q) {
-  cplx* amps = amps_.data();
+void StateVector::run_kernel(const kernels::SweepOp& op) {
   const kernels::SimdMode mode = kernels::simd_mode();
-  const cplx m00 = m[0][0], m01 = m[0][1], m10 = m[1][0], m11 = m[1][1];
-  // Diagonal fast path (Z/S/T/RZ/P and fused products of them): one
-  // branch-free contiguous pass with a single multiply per amplitude,
-  // instead of the paired gather. The skipped terms are exact zeros
-  // (m01 * a1 == 0), so this cannot move any |amp| — only the sign of a
-  // zero — and parallel chunks stay bit-identical to serial.
-  if (m01 == cplx(0.0, 0.0) && m10 == cplx(0.0, 0.0)) {
-    run_kernel(use_parallel(), parallel_grain_, mode_align(mode),
-               amps_.size(), [=](std::size_t begin, std::size_t end) {
-                 kernels::sweep_diag(mode, amps, begin, end, q, m00, m11);
-               });
-    return;
-  }
-  // Pair index k interleaves (block, offset): i0 is k with a zero bit spliced
-  // in at position q. Every k touches a disjoint {i0, i1} pair, so chunks of
-  // k are race-free and order-independent.
-  const kernels::M2 m2{m00, m01, m10, m11};
-  run_kernel(use_parallel(), parallel_grain_, mode_align(mode),
-             amps_.size() / 2, [=](std::size_t k_begin, std::size_t k_end) {
-               kernels::sweep_1q(mode, amps, k_begin, k_end, q, m2);
-             });
-}
-
-void StateVector::apply_controlled_single(const cplx m[2][2],
-                                          std::size_t control_mask, int q) {
-  const std::size_t stride = std::size_t{1} << q;
   cplx* amps = amps_.data();
-  const cplx m00 = m[0][0], m01 = m[0][1], m10 = m[1][0], m11 = m[1][1];
-  run_kernel(use_parallel(), parallel_grain_, 1, amps_.size() / 2,
-             [=](std::size_t k_begin, std::size_t k_end) {
-               for (std::size_t k = k_begin; k < k_end; ++k) {
-                 const std::size_t i0 =
-                     ((k >> q) << (q + 1)) | (k & (stride - 1));
-                 if ((i0 & control_mask) != control_mask) continue;
-                 const std::size_t i1 = i0 + stride;
-                 const cplx a0 = amps[i0];
-                 const cplx a1 = amps[i1];
-                 amps[i0] = m00 * a0 + m01 * a1;
-                 amps[i1] = m10 * a0 + m11 * a1;
-               }
+  const kernels::SweepOp* sweep = &op;  // outlives the joined parallel_for
+  // Every index of the op covers 2^shift amplitudes, so a chunk of
+  // grain >> shift indices covers parallel_grain_ amplitudes. Indices touch
+  // disjoint amplitude sets, so chunks are race-free and order-independent.
+  run_chunks(use_parallel(),
+             std::max<std::size_t>(1, parallel_grain_ >> op.shift),
+             mode_align(mode), amps_.size() >> op.shift,
+             [=](std::size_t begin, std::size_t end) {
+               kernels::run(mode, amps, begin, end, *sweep);
              });
 }
 
 void StateVector::apply_matrix(const cplx m[2][2], int q) {
   TETRIS_REQUIRE(q >= 0 && q < num_qubits_, "apply_matrix: qubit out of range");
-  apply_single_qubit(m, q);
+  run_kernel(kernels::lower(m, q));
 }
 
 void StateVector::apply_gang(const std::vector<SingleQubitOp>& ops) {
   if (ops.empty()) return;
-  const int k = static_cast<int>(ops.size());
-  TETRIS_REQUIRE(k <= kMaxGangQubits, "apply_gang: too many gang qubits");
-  for (const SingleQubitOp& op : ops) {
-    TETRIS_REQUIRE(op.qubit >= 0 && op.qubit < num_qubits_,
+  TETRIS_REQUIRE(ops.size() <= std::size_t{kMaxGangQubits},
+                 "apply_gang: too many gang qubits");
+  for (std::size_t j = 0; j < ops.size(); ++j) {
+    TETRIS_REQUIRE(ops[j].qubit >= 0 && ops[j].qubit < num_qubits_,
                    "apply_gang: qubit out of range");
+    for (std::size_t i = 0; i < j; ++i) {
+      TETRIS_REQUIRE(ops[i].qubit != ops[j].qubit, "apply_gang: duplicate qubit");
+    }
   }
-  // Duplicate check here; the execution plan (sorted qubits, block offsets,
-  // per-op local positions) is built by the kernel layer and shared
-  // read-only by every chunk.
-  std::vector<int> sorted(static_cast<std::size_t>(k));
-  for (int j = 0; j < k; ++j) sorted[static_cast<std::size_t>(j)] = ops[static_cast<std::size_t>(j)].qubit;
-  std::sort(sorted.begin(), sorted.end());
-  for (int j = 0; j + 1 < k; ++j) {
-    TETRIS_REQUIRE(sorted[static_cast<std::size_t>(j)] !=
-                       sorted[static_cast<std::size_t>(j) + 1],
-                   "apply_gang: duplicate qubit");
-  }
-  const kernels::GangPlan plan = kernels::make_gang_plan(ops.data(), ops.size());
-  const kernels::GangPlan* pplan = &plan;  // outlives the joined parallel_for
-  const kernels::SimdMode mode = kernels::simd_mode();
-  cplx* amps = amps_.data();
-  const std::size_t outer_count = amps_.size() >> k;
-  // Keep the per-chunk byte footprint comparable to the 1q kernel's: each
-  // outer index covers 2^k amplitudes.
-  const std::size_t grain = std::max<std::size_t>(1, parallel_grain_ >> k);
-  run_kernel(use_parallel(), grain, 1, outer_count,
-             [=](std::size_t begin, std::size_t end) {
-               kernels::sweep_gang(mode, amps, begin, end, *pplan);
-             });
+  run_kernel(kernels::lower(ops.data(), ops.size()));
 }
 
 void StateVector::apply_two_qubit(const cplx m[4][4], int a, int b) {
   TETRIS_REQUIRE(a >= 0 && a < num_qubits_ && b >= 0 && b < num_qubits_,
                  "apply_two_qubit: qubit out of range");
   TETRIS_REQUIRE(a != b, "apply_two_qubit: qubits must be distinct");
-  kernels::M4 m4;
-  for (int r = 0; r < 4; ++r) {
-    for (int c = 0; c < 4; ++c) m4.v[r * 4 + c] = m[r][c];
-  }
-  cplx* amps = amps_.data();
-  const kernels::SimdMode mode = kernels::simd_mode();
-  // Monomial fast path: exactly one nonzero per row (and per column — the
-  // matrix is unitary up to the caller), which covers every product of
-  // permutation and phase gates: CX/CZ/CP/CRZ/SWAP runs, X/Z/S/T/RZ on the
-  // pair, and their mixtures. One multiply per amplitude instead of the
-  // dense 16-multiply row sums; the dropped terms are exact zeros, so only
-  // zero signs can differ from the dense path. The decomposition is
-  // mode-independent, so scalar and AVX2 builds agree on which kernel runs.
-  int src[4] = {0, 0, 0, 0};
-  cplx coef[4];
-  if (kernels::monomial_decompose(m4, src, coef)) {
-    run_kernel(use_parallel(), std::max<std::size_t>(1, parallel_grain_ / 4),
-               1, amps_.size() / 4, [=](std::size_t begin, std::size_t end) {
-                 kernels::sweep_2q_monomial(mode, amps, begin, end, a, b, src,
-                                            coef);
-               });
-    return;
-  }
-  run_kernel(use_parallel(), std::max<std::size_t>(1, parallel_grain_ / 4),
-             1, amps_.size() / 4, [=](std::size_t begin, std::size_t end) {
-               kernels::sweep_2q(mode, amps, begin, end, a, b, m4);
-             });
+  run_kernel(kernels::lower(m, a, b));
 }
 
 void StateVector::apply_gate(const qir::Gate& gate) {
-  using qir::GateKind;
-  // Circuit::add rejects repeated qubits, but a Gate built by hand can carry
-  // them; the permutation sweep's bit splice would then index out of range.
-  std::size_t seen = 0;
-  for (int q : gate.qubits) {
-    TETRIS_REQUIRE(q >= 0 && q < num_qubits_, "apply_gate: qubit out of range");
-    TETRIS_REQUIRE((seen >> q & 1) == 0, "apply_gate: gate '" + gate.name() +
-                                             "' repeats qubit " +
-                                             std::to_string(q));
-    seen |= std::size_t{1} << q;
-  }
-  if (gate.kind == GateKind::Barrier) return;
-  kernels::PermPlan perm;
-  if (kernels::permutation_plan(gate, perm)) {
-    cplx* amps = amps_.data();
-    // Each subspace index moves one pair; halve the grain to keep the
-    // per-chunk byte footprint of the 1q pair sweep.
-    run_kernel(use_parallel(), std::max<std::size_t>(1, parallel_grain_ >> 1),
-               1, amps_.size() >> perm.count,
-               [=](std::size_t k_begin, std::size_t k_end) {
-                 kernels::sweep_perm(amps, k_begin, k_end, perm);
-               });
-    return;
-  }
-  switch (gate.kind) {
-    case GateKind::CY:
-    case GateKind::CZ:
-    case GateKind::CH:
-    case GateKind::CP:
-    case GateKind::CRZ: {
-      // Controls are all qubits but the last; build the base single-qubit
-      // matrix the controlled kind applies on its target.
-      GateKind base;
-      switch (gate.kind) {
-        case GateKind::CY:  base = GateKind::Y; break;
-        case GateKind::CZ:  base = GateKind::Z; break;
-        case GateKind::CH:  base = GateKind::H; break;
-        case GateKind::CP:  base = GateKind::P; break;
-        default:            base = GateKind::RZ; break;  // CRZ
+  qir::validate_gate(gate, num_qubits_);
+  if (gate.kind == qir::GateKind::Barrier) return;
+  run_kernel(kernels::lower(gate));
+}
+
+void StateVector::apply_fused_op(const FusedOp& op) {
+  TETRIS_REQUIRE((op.sweep.touched >> num_qubits_) == 0,
+                 "apply_fused_op: op reaches past the register");
+  run_kernel(op.sweep);
+}
+
+void StateVector::apply_tiled_run(const FusedOp* ops, std::size_t count) {
+  const int tq = tile_qubits_;
+  const std::size_t tile = std::size_t{1} << tq;
+  const kernels::SimdMode mode = kernels::simd_mode();
+  cplx* amps = amps_.data();
+  // Each tile applies the run's ops in order before moving on. Ops are
+  // tile-local, so tile t's amplitudes see exactly the operation sequence of
+  // the whole-array sweeps — tiling reorders traversal, not arithmetic —
+  // and tiles are disjoint, so parallel chunks of tiles stay bit-identical.
+  run_chunks(use_parallel(), std::max<std::size_t>(1, parallel_grain_ >> tq),
+             1, amps_.size() >> tq, [=](std::size_t t_begin, std::size_t t_end) {
+               for (std::size_t t = t_begin; t < t_end; ++t) {
+                 cplx* region = amps + (t << tq);
+                 for (std::size_t i = 0; i < count; ++i) {
+                   const kernels::SweepOp& op = ops[i].sweep;
+                   kernels::run(mode, region, 0, tile >> op.shift, op);
+                 }
+               }
+             });
+}
+
+void StateVector::apply_fused(const FusionPlan& plan) {
+  TETRIS_REQUIRE(plan.num_qubits() <= num_qubits_,
+                 "apply_fused: plan wider than register");
+  const auto& ops = plan.ops();
+  // Cache blocking pays once the register outgrows a tile; a run needs at
+  // least two tile-local ops before the reordered traversal saves a pass.
+  // An op is tile-local when every qubit it touches lies below the tile
+  // width, so its index arithmetic never reaches outside the tile.
+  const bool tiling = num_qubits_ > tile_qubits_ && tile_qubits_ >= 2;
+  const auto tile_local = [&](const FusedOp& op) {
+    return (op.sweep.touched >> tile_qubits_) == 0;
+  };
+  std::size_t i = 0;
+  while (i < ops.size()) {
+    if (tiling && tile_local(ops[i])) {
+      std::size_t j = i + 1;
+      while (j < ops.size() && tile_local(ops[j])) ++j;
+      if (j - i >= 2) {
+        apply_tiled_run(ops.data() + i, j - i);
+        i = j;
+        continue;
       }
-      cplx m[2][2];
-      single_qubit_matrix(base, gate.params, m);
-      std::size_t mask = 0;
-      for (std::size_t i = 0; i + 1 < gate.qubits.size(); ++i) {
-        mask |= std::size_t{1} << gate.qubits[i];
-      }
-      apply_controlled_single(m, mask, gate.qubits.back());
-      return;
     }
-    default: {
-      cplx m[2][2];
-      single_qubit_matrix(gate.kind, gate.params, m);
-      apply_single_qubit(m, gate.qubits[0]);
-      return;
-    }
+    apply_fused_op(ops[i]);
+    ++i;
   }
 }
 
@@ -297,7 +224,7 @@ std::vector<double> StateVector::probabilities() const {
   std::vector<double> p(amps_.size());
   double* out = p.data();
   const cplx* amps = amps_.data();
-  run_kernel(use_parallel(), parallel_grain_, 1, amps_.size(),
+  run_chunks(use_parallel(), parallel_grain_, 1, amps_.size(),
              [=](std::size_t begin, std::size_t end) {
                for (std::size_t i = begin; i < end; ++i) {
                  out[i] = std::norm(amps[i]);

@@ -12,6 +12,9 @@ using cplx = std::complex<double>;
 
 class FusionPlan;  // sim/fusion.h
 struct FusedOp;    // sim/fusion.h
+namespace kernels {
+struct SweepOp;    // sim/kernels/kernels.h
+}
 
 /// One 2x2 matrix bound to one qubit — the unit of a fused gang sweep
 /// (StateVector::apply_gang) and of the fusion pass (sim/fusion.h).
@@ -24,28 +27,25 @@ struct SingleQubitOp {
 ///
 /// Holds 2^n complex amplitudes in little-endian qubit order: basis index
 /// `i` has qubit q in state bit `(i >> q) & 1`. All gate kinds of the IR are
-/// supported natively. The permutation kinds (X, CX, CCX, MCX, SWAP, CSWAP)
-/// run as one permutation sweep (kernels::sweep_perm) that visits only the
-/// control-satisfied subspace and exchanges amplitudes without arithmetic;
-/// the remaining controlled kinds are applied as a (control-mask, 2x2 target
-/// matrix) pair. The exchanged values are exactly what the arithmetic
-/// 0*a0 + 1*a1 produced except for the sign of zero amplitudes — invisible
-/// to every probability, draw and count, like the diagonal and monomial
-/// fast paths below.
+/// supported natively.
 ///
-/// Gate kernels run multi-threaded on the global runtime::ThreadPool once
-/// the register reaches `parallel_threshold()` qubits; below that they use
-/// the serial loops. Both paths compute every amplitude with identical
-/// arithmetic (gate application touches each amplitude pair independently,
-/// with no cross-element reductions), so parallel results are bit-identical
-/// to serial ones at any thread count.
+/// Every sweep — apply_gate, apply_matrix, apply_gang, apply_two_qubit and
+/// each fused op — is validated here, lowered once by the kernel layer
+/// (kernels::lower in sim/kernels/kernels.h, which picks the kernel: the
+/// arithmetic-free permutation sweep for X/CX/CCX/MCX/SWAP/CSWAP, the
+/// controlled 2x2 for CY/CZ/CH/CP/CRZ, diagonal and monomial fast paths
+/// where the matrix allows) and run through kernels::run on
+/// `kernels::simd_mode()`. The fast paths drop only exact-zero terms, so
+/// they can flip the sign of a zero amplitude and nothing else — invisible
+/// to every probability, draw and count. The scalar kernels reproduce the
+/// historical loops byte for byte; the AVX2 kernels are tolerance-equal to
+/// scalar (FMA reorders rounding). See docs/ARCHITECTURE.md, "Kernel layer".
 ///
-/// The arithmetic sweeps dispatch through the kernel layer
-/// (sim/kernels/kernels.h) on `kernels::simd_mode()`: the scalar kernels
-/// reproduce the historical loops byte for byte; the AVX2 kernels are
-/// tolerance-equal to scalar (FMA reorders rounding) but uphold the same
-/// serial-vs-parallel bit-identity within the mode. See
-/// docs/ARCHITECTURE.md, "Kernel layer".
+/// Sweeps run multi-threaded on the global runtime::ThreadPool once the
+/// register reaches `parallel_threshold()` qubits, as one serial pass below
+/// that. Each amplitude sees the same arithmetic either way (no
+/// cross-element reductions), so parallel results are bit-identical to
+/// serial ones at any thread count, within one SIMD mode.
 ///
 /// The register size is bounded only by memory; the RevLib experiments top
 /// out at 12 qubits (4096 amplitudes), far below any practical limit.
@@ -69,7 +69,8 @@ class StateVector {
   /// Sets the register to the computational basis state |index>.
   void set_basis_state(std::size_t index);
 
-  /// Applies one gate (Barrier is a no-op).
+  /// Applies one gate (Barrier is a no-op). Throws InvalidArgument for a
+  /// gate qir::validate_gate rejects on this register's width.
   void apply_gate(const qir::Gate& gate);
 
   /// Applies every gate of the circuit in order. The circuit width must not
@@ -81,12 +82,12 @@ class StateVector {
   /// must not exceed the register width. Fused kernels reorder floating-point
   /// arithmetic relative to the gate-by-gate sweeps, so the result is
   /// tolerance-equal — not bit-identical — to apply_circuit (a plan built
-  /// with a fence before every gate degenerates to apply_gate calls and IS
-  /// bit-identical). Serial-vs-parallel execution of the SAME plan is
+  /// with a fence before every gate runs each gate's own apply_gate sweep
+  /// and IS bit-identical). Serial-vs-parallel execution of the SAME plan is
   /// bit-identical, like every other kernel here.
   ///
   /// When the register is wider than `tile_qubits()`, runs of consecutive
-  /// tile-local ops (every qubit below the tile width) execute tile by tile:
+  /// tile-local ops (`touched >> tile_qubits() == 0`) execute tile by tile:
   /// each 2^tile_qubits-amplitude slab is loaded once and swept by the whole
   /// run while L2-resident, instead of streaming the full vector once per
   /// op. Tiling only reorders memory traversal — each amplitude sees the
@@ -95,12 +96,12 @@ class StateVector {
   void apply_fused(const FusionPlan& plan);
 
   /// Applies one fused op (the unit apply_fused iterates) to the full
-  /// register. Used by sim::advance_fused to walk a plan prefix.
+  /// register: runs the sweep its plan lowered. Used by sim::advance_fused
+  /// to walk a plan prefix.
   void apply_fused_op(const FusedOp& op);
 
-  /// Applies an arbitrary 2x2 matrix to qubit q in one amplitude sweep (the
-  /// public face of the single-qubit kernel; apply_gate routes named kinds
-  /// through the same loop).
+  /// Applies an arbitrary 2x2 matrix to qubit q in one amplitude sweep
+  /// (apply_gate lowers named single-qubit kinds to the same sweep).
   void apply_matrix(const cplx m[2][2], int q);
 
   /// Applies each op's 2x2 to its qubit in ONE amplitude sweep. Qubits must
@@ -149,8 +150,9 @@ class StateVector {
   void set_parallel_threshold(int qubits) { parallel_threshold_ = qubits; }
   int parallel_threshold() const { return parallel_threshold_; }
 
-  /// Overrides the amplitudes-per-chunk grain of the parallel kernels. The
-  /// default (2^12) also serializes any register whose kernels fit in one
+  /// Overrides the amplitudes-per-chunk grain of the parallel kernels: a
+  /// chunk covers this many amplitudes of index space, whatever the kernel.
+  /// The default (2^12) also serializes any register whose sweeps fit in one
   /// chunk, so equivalence tests shrink it to force real multi-chunk
   /// execution on small registers.
   void set_parallel_grain(std::size_t grain) { parallel_grain_ = grain; }
@@ -175,11 +177,10 @@ class StateVector {
   /// True when gate kernels should go through runtime::parallel_for.
   bool use_parallel() const { return num_qubits_ >= parallel_threshold_; }
 
-  void apply_single_qubit(const cplx m[2][2], int q);
-  void apply_controlled_single(const cplx m[2][2], std::size_t control_mask, int q);
+  /// Runs one lowered sweep over the whole register.
+  void run_kernel(const kernels::SweepOp& op);
 
-  /// Executes `count` consecutive tile-local fused ops tile by tile
-  /// (defined in fusion.cpp, where FusedOp is complete).
+  /// Executes `count` consecutive tile-local fused ops tile by tile.
   void apply_tiled_run(const FusedOp* ops, std::size_t count);
 
   int num_qubits_;

@@ -6,6 +6,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <memory>
+#include <set>
+#include <variant>
 #include <vector>
 
 #include "common/error.h"
@@ -47,6 +50,24 @@ qir::Circuit dense_circuit(int n, std::uint64_t seed) {
   if (n >= 3) c.ccx(0, 1, n - 1);
   for (int q = 0; q < n; ++q) c.t(q);
   c.cz(0, n - 1);
+  return c;
+}
+
+/// Lone passthroughs below qubit 5 — every controlled 2x2 kind (CY, CZ, CH,
+/// CP, CRZ) and the wide permutation kinds (CCX, CSWAP, MCX) — between
+/// single-qubit layers that span the whole register. Consecutive 2q gates
+/// never share a pair, and a 3q+ gate closes each run, so no pair window
+/// absorbs them.
+qir::Circuit passthrough_circuit(int n, std::uint64_t seed) {
+  qir::Circuit c(n);
+  Rng rng(seed);
+  for (int q = 0; q < n; ++q) c.h(q).rz(rng.uniform() * 3.0, q);
+  c.ccx(0, 1, 2).cy(0, 1).cz(1, 2).ch(2, 3).cp(0.7, 3, 4).crz(1.1, 4, 0);
+  c.cswap(3, 0, 4).cy(4, 2).mcx({0, 2, 3}, 4);
+  for (int q = 0; q < n; ++q) c.ry(rng.uniform() - 0.5, q);
+  c.ccx(4, 3, 0).cz(0, 3).ch(1, 4).cp(-0.4, 0, 2).crz(2.3, 3, 1);
+  c.mcx({4, 3, 1}, 2).cswap(1, 2, 0);
+  for (int q = 0; q < n; ++q) c.sx(q);
   return c;
 }
 
@@ -165,17 +186,22 @@ TEST(SimdKernels, GangMatchesSequential1qSweepsBitwise) {
     }
     ops.push_back(op);
   }
-  const auto plan = kernels::make_gang_plan(ops.data(), ops.size());
+  const kernels::SweepOp gang = kernels::lower(ops.data(), ops.size());
+  ASSERT_TRUE(std::holds_alternative<std::shared_ptr<const kernels::GangPlan>>(
+      gang.kernel));
+  EXPECT_EQ(gang.shift, 3);
+  EXPECT_EQ(gang.touched, std::size_t{0b1101});
   const std::size_t dim = 32;  // 5 qubits
   std::vector<SimdMode> modes = {SimdMode::kScalar};
   if (kernels::avx2_available()) modes.push_back(SimdMode::kAvx2);
   for (SimdMode mode : modes) {
     auto ganged = random_amps(dim, 17);
     auto stepwise = ganged;
-    kernels::sweep_gang(mode, ganged.data(), 0, dim >> ops.size(), plan);
+    kernels::run(mode, ganged.data(), 0, dim >> gang.shift, gang);
     for (const auto& op : ops) {
-      const kernels::M2 m{op.m[0][0], op.m[0][1], op.m[1][0], op.m[1][1]};
-      kernels::sweep_1q(mode, stepwise.data(), 0, dim >> 1, op.qubit, m);
+      const kernels::SweepOp single = kernels::lower(op.m, op.qubit);
+      ASSERT_TRUE(std::holds_alternative<kernels::PairOp>(single.kernel));
+      kernels::run(mode, stepwise.data(), 0, dim >> single.shift, single);
     }
     for (std::size_t i = 0; i < dim; ++i) {
       EXPECT_EQ(ganged[i], stepwise[i])
@@ -448,6 +474,30 @@ TEST(Tiling, TiledMatchesUntiledBitwise) {
       tiled.apply_fused(plan);
       EXPECT_EQ(tiled.max_abs_diff(untiled), 0.0)
           << kernels::simd_mode_name(mode) << " n=" << n;
+    }
+    // Multi-qubit passthroughs below the tile width are tile-local too and
+    // run inside tiles (tile=5: two and eight tiles).
+    for (int n : {6, 8}) {
+      const auto plan = FusionPlan::build(
+          passthrough_circuit(n, 2000 + static_cast<std::uint64_t>(n)));
+      std::set<qir::GateKind> lone;
+      for (const FusedOp& op : plan.ops()) {
+        if (op.kind == FusedOp::Kind::kGate && op.gate.qubits.size() >= 2) {
+          lone.insert(op.gate.kind);
+        }
+      }
+      ASSERT_EQ(lone.size(), 8u) << "every kind must stay a passthrough";
+      StateVector untiled(n);
+      untiled.set_tile_qubits(n);
+      untiled.apply_fused(plan);
+      StateVector tiled(n);
+      tiled.set_tile_qubits(5);
+      tiled.apply_fused(plan);
+      EXPECT_EQ(std::memcmp(tiled.amplitudes().data(),
+                            untiled.amplitudes().data(),
+                            untiled.dim() * sizeof(cplx)),
+                0)
+          << kernels::simd_mode_name(mode) << " passthroughs n=" << n;
     }
   }
 }

@@ -709,7 +709,7 @@ TEST(NetProtocol, KeepAliveServesManyRequestsOnOneConnection) {
   }
   // Both sides agree the whole burst cost exactly one socket.
   EXPECT_EQ(client.connections_opened(), 1u);
-  ServerCounters counters = fx.server().counters();
+  ReactorCounters counters = fx.server().counters();
   EXPECT_EQ(counters.connections, 1u);
   EXPECT_EQ(counters.requests, static_cast<std::uint64_t>(kRequests));
   EXPECT_EQ(counters.keepalive_reuses,
@@ -741,7 +741,7 @@ TEST(NetProtocol, PipelinedRequestsAnsweredInOrder) {
   EXPECT_NE(responses[1].second.find("999"), std::string::npos);
   EXPECT_EQ(responses[2].first, 404);
   // One socket, three requests, two of them keep-alive reuses.
-  ServerCounters counters = fx.server().counters();
+  ReactorCounters counters = fx.server().counters();
   EXPECT_EQ(counters.connections, 1u);
   EXPECT_EQ(counters.requests, 3u);
   EXPECT_EQ(counters.keepalive_reuses, 2u);

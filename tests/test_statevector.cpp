@@ -245,6 +245,15 @@ TEST(StateVector, ApplyGateRejectsRepeatedQubits) {
   EXPECT_THROW(sv.apply_gate(qir::make_ccx(0, 2, 0)), InvalidArgument);
   EXPECT_THROW(sv.apply_gate(qir::make_cswap(0, 1, 1)), InvalidArgument);
   EXPECT_THROW(sv.apply_gate(qir::make_cz(2, 2)), InvalidArgument);
+  // apply_gate runs Circuit::add's per-gate checks, so a wrong arity or a
+  // missing angle is an InvalidArgument too, not an out-of-range read.
+  using qir::Gate;
+  using qir::GateKind;
+  EXPECT_THROW(sv.apply_gate(Gate(GateKind::SWAP, {1})), InvalidArgument);
+  EXPECT_THROW(sv.apply_gate(Gate(GateKind::RZ, {0})), InvalidArgument);
+  EXPECT_THROW(sv.apply_gate(Gate(GateKind::CX, {0, 1, 2})), InvalidArgument);
+  EXPECT_THROW(sv.apply_gate(Gate(GateKind::MCX, {0, 1, 2})), InvalidArgument);
+  EXPECT_THROW(sv.apply_gate(Gate(GateKind::X, {0}, {0.5})), InvalidArgument);
   EXPECT_EQ(sv.amplitudes()[0], cplx(1.0, 0.0));  // untouched
 }
 
