@@ -17,24 +17,8 @@ namespace tetris::net {
 
 namespace {
 
-http::Response json_response(int status, const std::string& body) {
-  http::Response res;
-  res.status = status;
-  res.body = body;
-  return res;
-}
-
-http::Response error_response(int status, const std::string& code,
-                              const std::string& message) {
-  json::Writer w;
-  w.begin_object();
-  w.key("error").begin_object();
-  w.key("code").value(code);
-  w.key("message").value(message);
-  w.end_object();
-  w.end_object();
-  return json_response(status, w.str());
-}
+using http::error_response;
+using http::json_response;
 
 /// Proxied responses are rebuilt from scratch (status + content type + body
 /// only): the upstream's parsed header list still carries its own

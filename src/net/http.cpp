@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cctype>
 
+#include "common/json.h"
+
 namespace tetris::net::http {
 
 namespace {
@@ -248,6 +250,25 @@ std::size_t body_length(const Request& request, std::size_t max_body) {
                         std::to_string(max_body) + " bytes");
   }
   return length;
+}
+
+Response json_response(int status, const std::string& body) {
+  Response res;
+  res.status = status;
+  res.body = body;
+  return res;
+}
+
+Response error_response(int status, const std::string& code,
+                        const std::string& message) {
+  json::Writer w;
+  w.begin_object();
+  w.key("error").begin_object();
+  w.key("code").value(code);
+  w.key("message").value(message);
+  w.end_object();
+  w.end_object();
+  return json_response(status, w.str());
 }
 
 std::string format_response(const Response& response, bool keep_alive) {

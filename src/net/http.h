@@ -87,6 +87,14 @@ Response parse_response_head(std::string_view head);
 /// `max_body`.
 std::size_t body_length(const Request& request, std::size_t max_body);
 
+/// A response with `status` carrying `body` as application/json.
+Response json_response(int status, const std::string& body);
+
+/// The JSON error document every REST surface answers failures with:
+/// {"error":{"code":...,"message":...}}.
+Response error_response(int status, const std::string& code,
+                        const std::string& message);
+
 /// Serializes a response with Content-Length and an explicit Connection
 /// header ("keep-alive" or "close"). The server sets `keep_alive` false on
 /// the final response of a connection (protocol errors, Connection: close

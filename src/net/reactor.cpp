@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "common/error.h"
-#include "common/json.h"
 #include "net/socket.h"
 #include "runtime/thread_pool.h"
 
@@ -25,26 +24,9 @@ namespace tetris::net {
 
 namespace {
 
+using http::error_response;
+
 using Clock = std::chrono::steady_clock;
-
-std::string error_body(const std::string& code, const std::string& message) {
-  json::Writer w;
-  w.begin_object();
-  w.key("error").begin_object();
-  w.key("code").value(code);
-  w.key("message").value(message);
-  w.end_object();
-  w.end_object();
-  return w.str();
-}
-
-http::Response error_response(int status, const std::string& code,
-                              const std::string& message) {
-  http::Response res;
-  res.status = status;
-  res.body = error_body(code, message);
-  return res;
-}
 
 /// One accepted socket plus everything the loop tracks about it.
 struct Connection {

@@ -18,6 +18,9 @@ namespace tetris::net {
 
 namespace {
 
+using http::error_response;
+using http::json_response;
+
 /// HTTP status for a service-layer failure class.
 int http_status_for(service::StatusCode code) {
   switch (code) {
@@ -30,25 +33,6 @@ int http_status_for(service::StatusCode code) {
     case service::StatusCode::kInternalError: return 500;
   }
   return 500;
-}
-
-http::Response json_response(int status, const std::string& body) {
-  http::Response res;
-  res.status = status;
-  res.body = body;
-  return res;
-}
-
-http::Response error_response(int status, const std::string& code,
-                              const std::string& message) {
-  json::Writer w;
-  w.begin_object();
-  w.key("error").begin_object();
-  w.key("code").value(code);
-  w.key("message").value(message);
-  w.end_object();
-  w.end_object();
-  return json_response(status, w.str());
 }
 
 /// Maps the in-flight exception onto an HttpError carrying the service
@@ -549,7 +533,6 @@ http::Response Server::handle_status() {
     w.key(info.name).begin_object();
     w.key("max_qubits").value(info.caps.max_qubits);
     w.key("clifford_only").value(info.caps.clifford_only);
-    w.key("supports_noise").value(info.caps.supports_noise);
     auto it = backend_jobs.find(info.name);
     w.key("jobs_done").value(it == backend_jobs.end() ? 0 : it->second.done);
     w.key("jobs_failed")

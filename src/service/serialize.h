@@ -24,7 +24,7 @@ namespace tetris::service {
 /// version-check before reading counters. kStatusSchema names one node's
 /// GET /v1/status document; kDispatchStatusSchema names the dispatcher's
 /// cross-node aggregation (docs/API.md has both layouts).
-inline constexpr const char* kStatusSchema = "tetrislock.status.v1";
+inline constexpr const char* kStatusSchema = "tetrislock.status.v2";
 inline constexpr const char* kDispatchStatusSchema =
     "tetrislock.dispatch_status.v1";
 

@@ -49,21 +49,11 @@ class StabilizerBackend final : public Backend {
   /// distribution() enumerates the support only up to 2^20 elements.
   static constexpr int kMaxEnumerationQubits = 20;
 
-  static BackendCaps caps() {
-    BackendCaps c;
-    c.max_qubits = kMaxQubits;
-    c.clifford_only = true;
-    // Pauli errors are Clifford conjugations (sign flips on the tableau),
-    // so the trajectory sampler can inject depolarizing noise.
-    c.supports_noise = true;
-    c.dense_state = false;
-    return c;
-  }
+  static BackendCaps caps() { return {kMaxQubits, /*clifford_only=*/true}; }
 
   explicit StabilizerBackend(int num_qubits);
 
   const char* name() const override { return "stabilizer"; }
-  BackendCaps capabilities() const override { return caps(); }
   int num_qubits() const override { return num_qubits_; }
 
   void reset() override;
@@ -71,6 +61,8 @@ class StabilizerBackend final : public Backend {
   /// sampling support is dropped and rebuilt lazily.
   void assign(const Backend& other) override;
   void apply_gate(const qir::Gate& gate) override;
+  /// Pauli errors are Clifford conjugations (sign flips on the tableau), so
+  /// the trajectory sampler injects depolarizing noise here too.
   void apply_pauli(char pauli, int q) override;
 
   /// Extracts and caches the sampling support (one O(n^3) elimination).

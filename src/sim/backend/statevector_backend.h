@@ -14,19 +14,11 @@ namespace tetris::sim {
 /// register.
 class StateVectorBackend final : public Backend {
  public:
-  static BackendCaps caps() {
-    BackendCaps c;
-    c.max_qubits = 28;
-    c.clifford_only = false;
-    c.supports_noise = true;
-    c.dense_state = true;
-    return c;
-  }
+  static BackendCaps caps() { return {28, /*clifford_only=*/false}; }
 
   explicit StateVectorBackend(int num_qubits) : sv_(num_qubits) {}
 
   const char* name() const override { return "statevector"; }
-  BackendCaps capabilities() const override { return caps(); }
   int num_qubits() const override { return sv_.num_qubits(); }
 
   void reset() override { sv_.reset(); }
@@ -41,14 +33,9 @@ class StateVectorBackend final : public Backend {
       const std::vector<int>& measured = {}) const override;
 
   /// The wrapped register, for callers that need the concrete API (fusion,
-  /// fidelity against a raw StateVector).
+  /// amplitude comparisons against a raw StateVector).
   StateVector& state() { return sv_; }
   const StateVector& state() const { return sv_; }
-
- protected:
-  const std::vector<cplx>* dense_state() const override {
-    return &sv_.amplitudes();
-  }
 
  private:
   StateVector sv_;

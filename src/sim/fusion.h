@@ -9,21 +9,6 @@
 
 namespace tetris::sim {
 
-/// Knobs of the fusion pass (FusionPlan::build).
-struct FusionOptions {
-  /// Fusion fences by gate index, sorted ascending: a boundary value `i`
-  /// fences BEFORE gate i, so gates at indices < i never merge with gates at
-  /// indices >= i. This is how callers express "something non-unitary happens
-  /// here" — a measurement, a per-shot noise-injection site — without
-  /// editing the circuit. Barrier gates are implicit fences on top of these.
-  std::vector<std::size_t> boundaries;
-
-  /// Largest number of distinct qubits one gang sweep may cover. Capped by
-  /// StateVector::kMaxGangQubits (the kernel's scratch block is
-  /// 2^max_gang_qubits amplitudes).
-  int max_gang_qubits = StateVector::kMaxGangQubits;
-};
-
 /// What the pass did — each emitted op costs exactly one amplitude sweep, so
 /// ops_out / gates_in is the memory-pass ratio fusion buys.
 struct FusionStats {
@@ -40,13 +25,15 @@ struct FusionStats {
 /// lowered once when the plan is built.
 ///
 /// `first_gate` / `gate_count` tie the op back to the source gate stream
-/// (barriers included in the indexing), which is what the boundary tests and
-/// the stats assert on. `sweep` is what every execution path runs: whole
-/// register (apply_fused_op, advance_fused) and cache tile (apply_fused)
-/// alike.
+/// (barriers included in the indexing), which is what the fence tests and
+/// the stats assert on; a passthrough's source gate is
+/// `circuit.gates()[first_gate]`. `sweep` is what every execution path
+/// runs: whole register (apply_fused_op, advance_fused) and cache tile
+/// (apply_fused) alike.
 struct FusedOp {
   enum class Kind {
-    kGate,      ///< passthrough: `gate`'s own sweep, as apply_gate runs it
+    kGate,      ///< passthrough: the source gate's own sweep, as apply_gate
+                ///< runs it
     kSingle,    ///< one 2x2: a same-qubit run multiplied into one matrix
     kGang,      ///< several 2x2s on distinct qubits, one gathered sweep
     kTwoQubit,  ///< one 4x4 on a wire pair
@@ -54,8 +41,6 @@ struct FusedOp {
   Kind kind = Kind::kGate;
   std::size_t first_gate = 0;  ///< index of the first source gate
   std::size_t gate_count = 1;  ///< source gates folded into this op
-  qir::Gate gate;              ///< kGate: the source gate
-  std::vector<SingleQubitOp> gang;  ///< kGang: the 2x2s, stream order
   kernels::SweepOp sweep;      ///< the lowered sweep
 };
 
@@ -64,8 +49,9 @@ struct FusedOp {
 ///
 /// The greedy pass merges, in stream order:
 ///  (a) runs of single-qubit gates on the same qubit into one 2x2 product,
-///  (b) windows of consecutive single-qubit gates on distinct qubits into a
-///      gang applied in one sweep (they commute exactly), and
+///  (b) windows of consecutive single-qubit gates on at most
+///      StateVector::kMaxGangQubits distinct qubits into a gang applied in
+///      one sweep (they commute exactly), and
 ///  (c) adjacent gates acting within one qubit pair — 2q gates in either
 ///      orientation plus interleaved 1q gates on the pair — into one 4x4.
 /// Multi-qubit gates (CCX, CSWAP, MCX) pass through unfused; a lone gate
@@ -73,13 +59,12 @@ struct FusedOp {
 /// apply_gate would run (the arithmetic-free permutation sweep for the
 /// permutation kinds).
 ///
-/// **Fences.** No fused op ever spans a Barrier gate or a
-/// FusionOptions::boundaries index — the non-unitary-event contract the
-/// trajectory sampler relies on. A per-shot noise-injection site is such a
-/// fence: sim::sample walks one cursor register forward through the plan
-/// with advance_fused (every op fully before a shot's first injection site
-/// is safe to fuse), resumes each errored shot from a copy of that cursor,
-/// and runs only the rest of the trajectory gate by gate.
+/// **Fences.** No fused op ever spans a Barrier gate. A per-shot
+/// noise-injection site needs no fence in the plan: sim::sample walks one
+/// cursor register forward through the plan with advance_fused, which stops
+/// before any op that reaches a shot's first injection site, resumes each
+/// errored shot from a copy of that cursor, and runs only the rest of the
+/// trajectory gate by gate.
 ///
 /// **Floating point.** Merging gates multiplies their matrices, which
 /// reorders FP arithmetic: a fused run is tolerance-equal to the unfused one
@@ -91,10 +76,8 @@ struct FusedOp {
 /// "Gate fusion".
 class FusionPlan {
  public:
-  /// Plans the fused execution of `circuit`. Throws InvalidArgument if
-  /// `options.boundaries` is unsorted or `max_gang_qubits` is out of range.
-  static FusionPlan build(const qir::Circuit& circuit,
-                          const FusionOptions& options = {});
+  /// Plans the fused execution of `circuit`.
+  static FusionPlan build(const qir::Circuit& circuit);
 
   int num_qubits() const { return num_qubits_; }
   const std::vector<FusedOp>& ops() const { return ops_; }

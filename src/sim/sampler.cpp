@@ -120,11 +120,6 @@ Counts sample(const qir::Circuit& circuit, const NoiseModel& noise, Rng& rng,
     ideal = std::move(sv);
   } else {
     ideal = make_backend(kind, circuit.num_qubits());
-    if (any_gate_noise && !ideal->capabilities().supports_noise) {
-      throw InvalidArgument(std::string(ideal->name()) +
-                            " backend cannot run gate-noise trajectories "
-                            "(supports_noise is false)");
-    }
     ideal->apply(circuit);  // structured UnsupportedGate on an unsupported gate
   }
   // Cache the sampling form before the register is shared across shard

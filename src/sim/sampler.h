@@ -158,8 +158,7 @@ struct SampleStats {
 /// \param stats   when non-null, receives the call's SampleStats
 /// \return histogram over measured-qubit outcomes with `options.shots` shots
 /// \throws InvalidArgument when a measured qubit is out of range, or when
-///   the chosen backend cannot host the run (register wider than its
-///   capability, gate noise on an engine with `supports_noise == false`)
+///   the register is wider than the chosen backend's capability
 /// \throws UnsupportedGate when the chosen backend cannot represent a gate
 ///   (e.g. a T gate on the stabilizer engine); the error names the gate and
 ///   its index

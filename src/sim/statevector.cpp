@@ -234,10 +234,7 @@ std::vector<double> StateVector::probabilities() const {
 }
 
 std::size_t StateVector::sample(Rng& rng) const {
-  return sample_amplitudes(amps_, rng);
-}
-
-std::size_t sample_amplitudes(const std::vector<cplx>& amps, Rng& rng) {
+  const std::vector<cplx>& amps = amps_;
   const double r = rng.uniform();
   double acc = 0.0;
   for (std::size_t i = 0; i < amps.size(); ++i) {

@@ -129,7 +129,11 @@ class StateVector {
   /// Measurement probabilities |amp|^2 for every basis state.
   std::vector<double> probabilities() const;
 
-  /// Draws one measurement outcome (basis index) without collapsing.
+  /// Draws one measurement outcome (basis index) without collapsing, by an
+  /// inverse-CDF scan over |amp|^2 that consumes exactly one uniform. When
+  /// rounding leaves the draw at or past the accumulated total, returns the
+  /// last index of non-zero probability — never a zero-probability one
+  /// (dim() - 1 only when every amplitude is zero).
   std::size_t sample(Rng& rng) const;
 
   /// <this|other>; registers must have equal width.
@@ -189,14 +193,6 @@ class StateVector {
   int tile_qubits_ = kDefaultTileQubits;
   std::vector<cplx> amps_;
 };
-
-/// Draws one basis index from the distribution |amps[i]|^2 by an inverse-CDF
-/// scan, consuming exactly one uniform. When rounding leaves the draw at or
-/// past the accumulated total, returns the last index of non-zero
-/// probability — never a zero-probability one (size() - 1 only when every
-/// amplitude is zero). StateVector::sample and the dense-unitary engine share
-/// it, so equal draws map to equal indices across the two.
-std::size_t sample_amplitudes(const std::vector<cplx>& amps, Rng& rng);
 
 /// 2x2 matrix for a single-qubit kind (throws for multi-qubit kinds).
 void single_qubit_matrix(qir::GateKind kind, const std::vector<double>& params,

@@ -1,5 +1,5 @@
 // Tests for the pluggable simulator backends (src/sim/backend/): the
-// registry/factory, the three engines, and — the load-bearing property —
+// registry/factory, the two engines, and — the load-bearing property —
 // the differential harness proving the stabilizer engine reproduces the
 // statevector's sampled counts SHOT FOR SHOT on Clifford circuits. The
 // equality is exact, not statistical: Clifford amplitudes stay on the
@@ -20,7 +20,6 @@
 #include "service/service.h"
 #include "sim/backend/stabilizer.h"
 #include "sim/backend/statevector_backend.h"
-#include "sim/backend/unitary_backend.h"
 #include "sim/sampler.h"
 #include "sim/statevector.h"
 #include "test_util.h"
@@ -36,25 +35,39 @@ using testutil::random_clifford;
 
 TEST(BackendKind, NamesRoundTrip) {
   for (BackendKind k : {BackendKind::kAuto, BackendKind::kStateVector,
-                        BackendKind::kStabilizer, BackendKind::kUnitary}) {
+                        BackendKind::kStabilizer}) {
     EXPECT_EQ(parse_backend_kind(backend_kind_name(k)), k);
   }
   EXPECT_THROW(parse_backend_kind("chp"), InvalidArgument);
   EXPECT_THROW(parse_backend_kind(""), InvalidArgument);
 }
 
+TEST(BackendKind, UnitaryIsNotAnEngineName) {
+  // The dense-operator engine could not run a noisy flow and is gone; its
+  // name is now an unknown backend, and the error lists what is accepted.
+  try {
+    parse_backend_kind("unitary");
+    FAIL() << "expected InvalidArgument";
+  } catch (const InvalidArgument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'unitary'"), std::string::npos) << what;
+    EXPECT_NE(what.find("auto, statevector, or stabilizer"),
+              std::string::npos)
+        << what;
+  }
+}
+
 TEST(BackendRegistry, ListsAllEnginesWithCapabilities) {
   const auto& infos = registered_backends();
-  ASSERT_EQ(infos.size(), 3u);
+  ASSERT_EQ(infos.size(), 2u);
+  EXPECT_EQ(infos[0].kind, BackendKind::kStateVector);
   EXPECT_EQ(std::string(infos[0].name), "statevector");
   EXPECT_FALSE(infos[0].caps.clifford_only);
-  EXPECT_TRUE(infos[0].caps.supports_noise);
+  EXPECT_EQ(infos[0].caps.max_qubits, 28);
+  EXPECT_EQ(infos[1].kind, BackendKind::kStabilizer);
   EXPECT_EQ(std::string(infos[1].name), "stabilizer");
   EXPECT_TRUE(infos[1].caps.clifford_only);
-  EXPECT_TRUE(infos[1].caps.supports_noise);
   EXPECT_GE(infos[1].caps.max_qubits, 50);
-  EXPECT_EQ(std::string(infos[2].name), "unitary");
-  EXPECT_FALSE(infos[2].caps.supports_noise);
 }
 
 TEST(BackendFactory, MakesEachKindAndRejectsAuto) {
@@ -62,8 +75,6 @@ TEST(BackendFactory, MakesEachKindAndRejectsAuto) {
             "statevector");
   EXPECT_EQ(std::string(make_backend(BackendKind::kStabilizer, 3)->name()),
             "stabilizer");
-  EXPECT_EQ(std::string(make_backend(BackendKind::kUnitary, 3)->name()),
-            "unitary");
   EXPECT_THROW(make_backend(BackendKind::kAuto, 3), InvalidArgument);
 }
 
@@ -82,8 +93,6 @@ TEST(BackendResolve, AutoPicksStabilizerOnlyForWideClifford) {
   EXPECT_EQ(resolve_backend(BackendKind::kAuto, wide_nonclifford),
             BackendKind::kStateVector);
   // Explicit kinds pass through untouched.
-  EXPECT_EQ(resolve_backend(BackendKind::kUnitary, wide_clifford),
-            BackendKind::kUnitary);
   EXPECT_EQ(resolve_backend(BackendKind::kStateVector, wide_clifford),
             BackendKind::kStateVector);
 }
@@ -104,51 +113,6 @@ TEST(StateVectorBackend, MatchesRawStateVector) {
   for (int i = 0; i < 50; ++i) {
     EXPECT_EQ(backend.sample_index(a), sv.sample(b));
   }
-}
-
-TEST(UnitaryBackend, MatchesStateVectorBitForBit) {
-  Rng gen(12);
-  qir::Circuit c = random_clifford(4, 30, gen);
-  DenseUnitaryBackend unitary(4);
-  unitary.apply(c);
-  StateVectorBackend reference(4);
-  reference.apply(c);
-  // Unprepared const queries (local column-0 rebuild) and prepared ones
-  // (column 0 of the materialized operator) must agree exactly — both run
-  // the statevector kernels.
-  for (std::size_t i = 0; i < 16; ++i) {
-    EXPECT_EQ(unitary.probability(i), reference.probability(i));
-  }
-  unitary.prepare();
-  for (std::size_t i = 0; i < 16; ++i) {
-    EXPECT_EQ(unitary.probability(i), reference.probability(i));
-  }
-  reference.prepare();
-  EXPECT_DOUBLE_EQ(unitary.fidelity_with(reference), 1.0);
-  Rng a(3), b(3);
-  for (int i = 0; i < 50; ++i) {
-    EXPECT_EQ(unitary.sample_index(a), reference.sample_index(b));
-  }
-}
-
-TEST(UnitaryBackend, RejectsPauliInjection) {
-  DenseUnitaryBackend backend(2);
-  EXPECT_THROW(backend.apply_pauli('X', 0), InvalidArgument);
-}
-
-TEST(UnitaryBackend, ExposesOperator) {
-  DenseUnitaryBackend backend(1);
-  backend.apply_gate(qir::make_x(0));
-  EXPECT_THROW(backend.unitary(), InvalidArgument);  // requires prepare()
-  backend.prepare();
-  EXPECT_EQ(backend.unitary().at(1, 0), std::complex<double>(1.0, 0.0));
-  EXPECT_EQ(backend.unitary().at(0, 0), std::complex<double>(0.0, 0.0));
-}
-
-TEST(BackendFidelity, StabilizerHasNoDenseState) {
-  StateVectorBackend sv(2);
-  StabilizerBackend stab(2);
-  EXPECT_THROW(sv.fidelity_with(stab), InvalidArgument);
 }
 
 // ------------------------------------------------------------------- assign
@@ -209,14 +173,10 @@ TEST(BackendAssign, StabilizerCopyDropsPreparedSupport) {
 TEST(BackendAssign, RejectsWidthOrEngineMismatch) {
   StateVectorBackend sv3(3), sv4(4);
   StabilizerBackend stab3(3), stab4(4);
-  DenseUnitaryBackend unitary3(3), other_unitary3(3);
   EXPECT_THROW(sv3.assign(sv4), InvalidArgument);
   EXPECT_THROW(stab3.assign(stab4), InvalidArgument);
   EXPECT_THROW(sv3.assign(stab3), InvalidArgument);
   EXPECT_THROW(stab3.assign(sv3), InvalidArgument);
-  EXPECT_THROW(sv3.assign(unitary3), InvalidArgument);
-  // The dense-operator engine hosts no trajectories at all.
-  EXPECT_THROW(unitary3.assign(other_unitary3), InvalidArgument);
 }
 
 // ----------------------------------------------------------- stabilizer core
@@ -445,25 +405,7 @@ TEST(BackendDifferential, CompiledCliffordCircuitStaysClifford) {
   }
 }
 
-// --------------------------------------------------- gate-noise capability
-
-TEST(BackendSampler, UnitaryEngineRejectsGateNoise) {
-  qir::Circuit c(2);
-  c.h(0).cx(0, 1);
-  NoiseModel noise;
-  noise.p1 = 0.1;
-  SampleOptions opts;
-  opts.shots = 10;
-  opts.backend = BackendKind::kUnitary;
-  Rng rng(1);
-  EXPECT_THROW(sample(c, noise, rng, opts), InvalidArgument);
-  // Readout-only noise is fine: it never touches the register mid-circuit.
-  noise.p1 = 0.0;
-  noise.readout = 0.05;
-  Rng rng2(1);
-  auto counts = sample(c, noise, rng2, opts);
-  EXPECT_EQ(counts.shots, 10u);
-}
+// ------------------------------------------------- explicit engine choice
 
 TEST(BackendSampler, ExplicitStabilizerOnNonCliffordFailsStructured) {
   qir::Circuit c(2);
@@ -489,15 +431,11 @@ TEST(BackendFingerprint, MixedOnlyWhenResolvedOffDefault) {
   const std::uint64_t fp_sv = service::flow_fingerprint(job);
   job.config.backend = BackendKind::kStabilizer;
   const std::uint64_t fp_stab = service::flow_fingerprint(job);
-  job.config.backend = BackendKind::kUnitary;
-  const std::uint64_t fp_unitary = service::flow_fingerprint(job);
 
   // auto resolves to the statevector on this narrow circuit: all default
   // spellings share the pre-backend fingerprint.
   EXPECT_EQ(fp_auto, fp_sv);
   EXPECT_NE(fp_stab, fp_sv);
-  EXPECT_NE(fp_unitary, fp_sv);
-  EXPECT_NE(fp_unitary, fp_stab);
 
   // On a wide Clifford circuit auto resolves to the stabilizer, and the
   // fingerprint follows the resolution, not the spelling.

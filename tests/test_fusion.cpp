@@ -5,8 +5,8 @@
 //    sim::unitary reference, on randomized 4-12 qubit circuits;
 //  - fused-vs-unfused agreement holds at 1, 2, and 8 worker threads, and the
 //    parallel fused sweeps are bit-identical to the serial fused sweeps;
-//  - a plan never merges across a Barrier gate or an explicit
-//    FusionOptions::boundaries fence (the noise/measurement contract);
+//  - a plan never merges across a Barrier gate (the fence contract), and a
+//    gang never covers more than StateVector::kMaxGangQubits qubits;
 //  - fusion is opt-in: SampleOptions defaults to fuse == false, and the
 //    default equals an explicit fuse=false run exactly. (Byte-identity of
 //    fuse-off output against a literally pre-fusion build cannot be pinned
@@ -20,6 +20,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <variant>
 #include <vector>
 
 #include "common/error.h"
@@ -79,6 +81,12 @@ double unitary_max_diff(const Unitary& a, const Unitary& b) {
   return mx;
 }
 
+/// The gathered plan of a kGang op.
+const kernels::GangPlan& gang_of(const FusedOp& op) {
+  EXPECT_EQ(op.kind, FusedOp::Kind::kGang);
+  return *std::get<std::shared_ptr<const kernels::GangPlan>>(op.sweep.kernel);
+}
+
 /// True when no fused op's source range [first_gate, first_gate+gate_count)
 /// contains the fence index `fence` strictly inside it.
 bool no_op_spans(const FusionPlan& plan, std::size_t fence) {
@@ -116,11 +124,13 @@ TEST(FusionPlan, DistinctQubitsGangInStreamOrder) {
   auto plan = FusionPlan::build(c);
   ASSERT_EQ(plan.ops().size(), 1u);
   const FusedOp& op = plan.ops()[0];
-  EXPECT_EQ(op.kind, FusedOp::Kind::kGang);
-  ASSERT_EQ(op.gang.size(), 3u);
-  EXPECT_EQ(op.gang[0].qubit, 0);
-  EXPECT_EQ(op.gang[1].qubit, 1);
-  EXPECT_EQ(op.gang[2].qubit, 2);
+  const kernels::GangPlan& gang = gang_of(op);
+  ASSERT_EQ(gang.count, 3);
+  // Op j's qubit is sorted[local_pos[j]]: the entries keep stream order.
+  EXPECT_EQ(gang.sorted[gang.local_pos[0]], 0);
+  EXPECT_EQ(gang.sorted[gang.local_pos[1]], 1);
+  EXPECT_EQ(gang.sorted[gang.local_pos[2]], 2);
+  EXPECT_EQ(op.sweep.touched, 0b111u);
 
   StateVector fused(3), unfused(3);
   fused.apply_fused(plan);
@@ -134,8 +144,7 @@ TEST(FusionPlan, GangWindowAlsoMergesSameQubitRuns) {
   c.h(0).x(1).t(0);
   auto plan = FusionPlan::build(c);
   ASSERT_EQ(plan.ops().size(), 1u);
-  EXPECT_EQ(plan.ops()[0].kind, FusedOp::Kind::kGang);
-  EXPECT_EQ(plan.ops()[0].gang.size(), 2u);
+  EXPECT_EQ(gang_of(plan.ops()[0]).count, 2);
   EXPECT_EQ(plan.ops()[0].gate_count, 3u);
 
   StateVector fused(2), unfused(2);
@@ -175,33 +184,29 @@ TEST(FusionPlan, LoneAndWideGatesPassThrough) {
 }
 
 TEST(FusionPlan, MaxGangQubitsCapsTheWindow) {
-  qir::Circuit c(4);
-  c.h(0).h(1).h(2).h(3);
-  FusionOptions options;
-  options.max_gang_qubits = 2;
-  auto plan = FusionPlan::build(c, options);
+  // Two more distinct-qubit 1q gates than one gang may cover: the window
+  // closes at kMaxGangQubits and the rest start the next gang.
+  constexpr int kWidth = StateVector::kMaxGangQubits + 2;
+  qir::Circuit c(kWidth);
+  for (int q = 0; q < kWidth; ++q) c.h(q);
+  auto plan = FusionPlan::build(c);
   ASSERT_EQ(plan.ops().size(), 2u);
-  EXPECT_EQ(plan.ops()[0].kind, FusedOp::Kind::kGang);
-  EXPECT_EQ(plan.ops()[0].gang.size(), 2u);
-  EXPECT_EQ(plan.ops()[1].kind, FusedOp::Kind::kGang);
-  EXPECT_EQ(plan.ops()[1].gang.size(), 2u);
+  EXPECT_EQ(gang_of(plan.ops()[0]).count, StateVector::kMaxGangQubits);
+  EXPECT_EQ(plan.ops()[0].sweep.touched,
+            (std::size_t{1} << StateVector::kMaxGangQubits) - 1);
+  EXPECT_EQ(gang_of(plan.ops()[1]).count, 2);
+  EXPECT_EQ(plan.ops()[1].first_gate,
+            static_cast<std::size_t>(StateVector::kMaxGangQubits));
+  EXPECT_EQ(plan.ops()[1].sweep.touched,
+            std::size_t{0b11} << StateVector::kMaxGangQubits);
+
+  StateVector fused(kWidth), unfused(kWidth);
+  fused.apply_fused(plan);
+  unfused.apply_circuit(c);
+  EXPECT_LT(fused.max_abs_diff(unfused), 1e-12);
 }
 
-TEST(FusionPlan, OptionValidation) {
-  qir::Circuit c(1);
-  c.h(0);
-  FusionOptions unsorted;
-  unsorted.boundaries = {3, 1};
-  EXPECT_THROW(FusionPlan::build(c, unsorted), InvalidArgument);
-  FusionOptions too_big;
-  too_big.max_gang_qubits = StateVector::kMaxGangQubits + 1;
-  EXPECT_THROW(FusionPlan::build(c, too_big), InvalidArgument);
-  FusionOptions zero;
-  zero.max_gang_qubits = 0;
-  EXPECT_THROW(FusionPlan::build(c, zero), InvalidArgument);
-}
-
-// ------------------------------------------------------ fences / boundaries
+// ------------------------------------------------------------------ fences
 
 TEST(FusionPlan, BarrierIsAFusionFence) {
   qir::Circuit c(2);
@@ -221,29 +226,24 @@ TEST(FusionPlan, BarrierIsAFusionFence) {
   EXPECT_LT(fused.max_abs_diff(unfused), 1e-12);
 }
 
-TEST(FusionPlan, ExplicitBoundaryIsAFusionFence) {
-  // Same stream, no Barrier gate: the caller-supplied fence must split the
-  // would-be 4-gate gang exactly like the barrier does. This is the sampler's
-  // noise-site contract expressed directly.
-  qir::Circuit c(2);
-  c.h(0).h(1).h(0).h(1);
-  FusionOptions options;
-  options.boundaries = {2};
-  auto plan = FusionPlan::build(c, options);
+TEST(FusionPlan, BarrierFencesSameQubitRuns) {
+  // A barrier splits a would-be 4-gate same-qubit run into two 2x2s.
+  qir::Circuit c(1);
+  c.h(0).t(0).barrier().s(0).h(0);  // barrier at gate index 2
+  auto plan = FusionPlan::build(c);
   ASSERT_EQ(plan.ops().size(), 2u);
-  EXPECT_EQ(plan.ops()[0].first_gate, 0u);
-  EXPECT_EQ(plan.ops()[0].gate_count, 2u);
-  EXPECT_EQ(plan.ops()[1].first_gate, 2u);
-  EXPECT_EQ(plan.ops()[1].gate_count, 2u);
+  for (const FusedOp& op : plan.ops()) {
+    EXPECT_EQ(op.kind, FusedOp::Kind::kSingle);
+    EXPECT_EQ(op.gate_count, 2u);
+  }
+  EXPECT_EQ(plan.ops()[1].first_gate, 3u);
   EXPECT_TRUE(no_op_spans(plan, 2));
 }
 
-TEST(FusionPlan, BoundaryFencesPairWindowsToo) {
+TEST(FusionPlan, BarrierFencesPairWindowsToo) {
   qir::Circuit c(2);
-  c.cx(0, 1).cz(0, 1).cx(0, 1).cz(0, 1);
-  FusionOptions options;
-  options.boundaries = {2};
-  auto plan = FusionPlan::build(c, options);
+  c.cx(0, 1).cz(0, 1).barrier().cx(0, 1).cz(0, 1);
+  auto plan = FusionPlan::build(c);
   ASSERT_EQ(plan.ops().size(), 2u);
   for (const FusedOp& op : plan.ops()) {
     EXPECT_EQ(op.kind, FusedOp::Kind::kTwoQubit);
@@ -256,15 +256,18 @@ TEST(FusionPlan, FenceBeforeEveryGateIsBitIdenticalToApplyCircuit) {
   // All-passthrough plans run the exact apply_gate code path, so this is an
   // exact (bitwise) check — the `--fuse` off-path contract in miniature.
   Rng rng(7);
-  auto c = random_fusible(6, 80, rng);
-  FusionOptions options;
-  for (std::size_t i = 1; i < c.size(); ++i) options.boundaries.push_back(i);
-  auto plan = FusionPlan::build(c, options);
+  const auto source = random_fusible(6, 80, rng);
+  qir::Circuit c(6);
+  for (const qir::Gate& g : source.gates()) {
+    if (c.size() > 0) c.barrier();
+    c.add(g);
+  }
+  auto plan = FusionPlan::build(c);
   EXPECT_EQ(plan.stats().gates_fused, 0u);
 
   StateVector fused(6), unfused(6);
   fused.apply_fused(plan);
-  unfused.apply_circuit(c);
+  unfused.apply_circuit(source);
   EXPECT_EQ(fused.max_abs_diff(unfused), 0.0);
 }
 

@@ -478,12 +478,14 @@ TEST(Tiling, TiledMatchesUntiledBitwise) {
     // Multi-qubit passthroughs below the tile width are tile-local too and
     // run inside tiles (tile=5: two and eight tiles).
     for (int n : {6, 8}) {
-      const auto plan = FusionPlan::build(
-          passthrough_circuit(n, 2000 + static_cast<std::uint64_t>(n)));
+      const auto circuit =
+          passthrough_circuit(n, 2000 + static_cast<std::uint64_t>(n));
+      const auto plan = FusionPlan::build(circuit);
       std::set<qir::GateKind> lone;
       for (const FusedOp& op : plan.ops()) {
-        if (op.kind == FusedOp::Kind::kGate && op.gate.qubits.size() >= 2) {
-          lone.insert(op.gate.kind);
+        const qir::Gate& source = circuit.gates()[op.first_gate];
+        if (op.kind == FusedOp::Kind::kGate && source.qubits.size() >= 2) {
+          lone.insert(source.kind);
         }
       }
       ASSERT_EQ(lone.size(), 8u) << "every kind must stay a passthrough";
@@ -517,8 +519,9 @@ TEST(Tiling, LoneXPassthroughRunsInsideTiles) {
     c.cx(2, 3).x(1).cx(0, 1).h(0).cx(6, 5).x(2).ccx(0, 1, 3);
     const auto plan = FusionPlan::build(c);
     const auto& ops = plan.ops();
-    const auto lone_x = std::find_if(ops.begin(), ops.end(), [](const FusedOp& op) {
-      return op.kind == FusedOp::Kind::kGate && op.gate.kind == qir::GateKind::X;
+    const auto lone_x = std::find_if(ops.begin(), ops.end(), [&](const FusedOp& op) {
+      return op.kind == FusedOp::Kind::kGate &&
+             c.gates()[op.first_gate].kind == qir::GateKind::X;
     });
     ASSERT_NE(lone_x, ops.end());
     ASSERT_EQ(std::next(lone_x)->kind, FusedOp::Kind::kTwoQubit);

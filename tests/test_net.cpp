@@ -34,8 +34,7 @@ namespace tetris::net {
 namespace {
 
 /// Small submit body for the built-in benchmark `name`. A non-empty
-/// `backend` adds the config field ("auto"/"statevector"/"stabilizer"/
-/// "unitary").
+/// `backend` adds the config field ("auto"/"statevector"/"stabilizer").
 std::string submit_body(const std::string& name, std::uint64_t seed = 2025,
                         std::size_t shots = 64,
                         const std::string& backend = "") {
@@ -211,7 +210,7 @@ TEST(NetServer, StatusEndpointReportsCounters) {
   auto res = client.get("/v1/status");
   ASSERT_EQ(res.status, 200);
   auto doc = json::parse(res.body);
-  EXPECT_EQ(doc.at("schema").as_string(), "tetrislock.status.v1");
+  EXPECT_EQ(doc.at("schema").as_string(), "tetrislock.status.v2");
   EXPECT_EQ(doc.at("service").at("jobs_submitted").as_int(), 0);
   EXPECT_EQ(doc.at("service").at("threads").as_int(), 2);
   EXPECT_EQ(doc.at("cache").at("capacity").as_int(), 0);
@@ -394,14 +393,13 @@ TEST(NetServer, StatusListsBackendRegistryAndPerEngineTallies) {
 
   auto doc = json::parse(client.get("/v1/status").body);
   const auto& backends = doc.at("backends");
-  ASSERT_EQ(backends.size(), 3u);
+  ASSERT_EQ(backends.size(), 2u);
   EXPECT_FALSE(backends.at("statevector").at("clifford_only").as_bool());
-  EXPECT_TRUE(backends.at("statevector").at("supports_noise").as_bool());
+  EXPECT_EQ(backends.at("statevector").at("max_qubits").as_int(), 28);
   EXPECT_TRUE(backends.at("stabilizer").at("clifford_only").as_bool());
   EXPECT_EQ(backends.at("stabilizer").at("max_qubits").as_int(), 64);
-  EXPECT_EQ(backends.at("unitary").at("max_qubits").as_int(), 12);
-  EXPECT_FALSE(backends.at("unitary").at("supports_noise").as_bool());
   for (const auto& [name, info] : backends.as_object()) {
+    EXPECT_EQ(info.size(), 4u) << name;  // max_qubits, clifford_only, tallies
     EXPECT_EQ(info.at("jobs_done").as_int(), 0) << name;
     EXPECT_EQ(info.at("jobs_failed").as_int(), 0) << name;
   }
@@ -464,6 +462,25 @@ TEST(NetServer, BackendConfigEchoAndValidation) {
   const std::string message = failed.at("status").at("message").as_string();
   EXPECT_NE(message.find("stabilizer"), std::string::npos) << message;
   EXPECT_NE(message.find("rz"), std::string::npos) << message;
+}
+
+TEST(NetServer, UnitaryBackendIsRejectedAtSubmit) {
+  // "unitary" names no engine: the submit is refused before anything is
+  // queued, with the same 400 document as any other unknown backend.
+  ServerFixture fx;
+  auto client = fx.client();
+  auto res = client.post(
+      "/v1/jobs", R"({"benchmark":"4mod5","config":{"backend":"unitary"}})");
+  EXPECT_EQ(res.status, 400) << res.body;
+  auto doc = json::parse(res.body);
+  EXPECT_EQ(doc.at("error").at("code").as_string(), "invalid_argument");
+  const std::string message = doc.at("error").at("message").as_string();
+  EXPECT_NE(message.find("unitary"), std::string::npos) << message;
+  EXPECT_EQ(json::parse(client.get("/v1/status").body)
+                .at("service")
+                .at("jobs_submitted")
+                .as_int(),
+            0);
 }
 
 TEST(NetServer, ConcurrentClientsGetUniqueIdsAndAnswers) {
@@ -735,7 +752,7 @@ TEST(NetProtocol, PipelinedRequestsAnsweredInOrder) {
   auto responses = split_responses(wire);
   ASSERT_EQ(responses.size(), 3u);
   EXPECT_EQ(responses[0].first, 200);
-  EXPECT_NE(responses[0].second.find("tetrislock.status.v1"),
+  EXPECT_NE(responses[0].second.find("tetrislock.status.v2"),
             std::string::npos);
   EXPECT_EQ(responses[1].first, 404);
   EXPECT_NE(responses[1].second.find("999"), std::string::npos);
@@ -1116,7 +1133,7 @@ TEST(NetDispatch, NodeFailureYields502AndSurvivorsComplete) {
     } else {
       EXPECT_TRUE(node.at("reachable").as_bool());
       EXPECT_EQ(node.at("status").at("schema").as_string(),
-                "tetrislock.status.v1");
+                "tetrislock.status.v2");
     }
   }
   EXPECT_EQ(doc.at("dispatcher").at("nodes").as_int(), 3);

@@ -30,7 +30,7 @@
 //              registers. Off by default — fused kernels reorder floating
 //              point, so sampled metrics shift within shot noise and the
 //              flag is part of the result-cache fingerprint.
-//              --backend auto|statevector|stabilizer|unitary picks the
+//              --backend auto|statevector|stabilizer picks the
 //              simulation engine of the sampled runs (src/sim/backend/).
 //              auto (the default) resolves to the statevector unless the
 //              circuit is Clifford and wider than the statevector's auto
@@ -880,7 +880,7 @@ int usage() {
                "       protect: --fuse  (gate-fused statevector kernels in "
                "the sampled runs)\n"
                "       protect/submit: --backend "
-               "auto|statevector|stabilizer|unitary  (simulation engine; "
+               "auto|statevector|stabilizer  (simulation engine; "
                "auto = stabilizer for wide Clifford circuits)\n"
                "       protect: --cache --out-json FILE  (service result "
                "cache + JSON output)\n"
